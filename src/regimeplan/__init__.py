@@ -18,12 +18,9 @@ from .chain import (
 from .model import (
     ConfigError,
     Generator,
-    LipschitzConstants,
     ModelParams,
     ValidationReport,
-    discount_lower_bound,
     load_params,
-    lq_constants,
     params_from_config,
     params_to_config,
     save_params,
@@ -32,11 +29,9 @@ from .model import (
 from .policy import (
     PolicyCoefficients,
     ValueReport,
-    convexity_check,
     default_grid,
     feedback_control,
     hamiltonian,
-    hamiltonian_dx,
     hamiltonian_minimizer,
     policy_coefficients,
     value_constant,
@@ -58,7 +53,6 @@ from .riccati import (
     uniqueness_certificate,
 )
 from .sde import (
-    DEFAULT_HORIZON,
     ControlledPath,
     MCEstimate,
     SimConfig,
@@ -74,10 +68,8 @@ __all__ = [
     "BracketFailure",
     "ConfigError",
     "ControlledPath",
-    "DEFAULT_HORIZON",
     "DominanceCertificate",
     "Generator",
-    "LipschitzConstants",
     "MCEstimate",
     "ModelParams",
     "NonConvergence",
@@ -92,19 +84,15 @@ __all__ = [
     "are_residual",
     "asymptotic_decay",
     "benchmark_params",
-    "convexity_check",
     "default_grid",
-    "discount_lower_bound",
     "discounted_functional_mc",
     "discounted_resolvent",
     "elimination_solve",
     "expected_values",
     "feedback_control",
     "hamiltonian",
-    "hamiltonian_dx",
     "hamiltonian_minimizer",
     "load_params",
-    "lq_constants",
     "mc_cost",
     "params_from_config",
     "params_to_config",

@@ -13,7 +13,6 @@ jump segments provides the independent check.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -27,7 +26,6 @@ __all__ = [
     "regimes_on_grid",
     "discounted_resolvent",
     "discounted_functional_mc",
-    "write_regime_path_csv",
 ]
 
 
@@ -174,53 +172,19 @@ def discounted_functional_mc(gen: Generator, r: float, g, i0: int,
         raise ValueError("r must be positive")
     if not 1 <= i0 <= gen.m:
         raise ValueError(f"i0 must be in 1..{gen.m}")
+    if not horizon > 0:
+        raise ValueError("horizon must be positive")
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
     rates, cums, targets = _jump_tables(gen)
-    gl = [float(v) for v in np.asarray(g, dtype=float)]
+    g = np.asarray(g, dtype=float)
     vals = np.empty(n_paths)
-    exp = math.exp
     for kpath in range(n_paths):
         rng = np.random.default_rng([seed, kpath])
-        t = 0.0
-        s = i0 - 1
-        total = 0.0
-        disc_prev = 1.0
-        expo: list = []
-        unif: list = []
-        k = 0
-        size = 0
-        while True:
-            rate = rates[s]
-            if rate <= 0.0:
-                total += gl[s] * (disc_prev - exp(-r * horizon)) / r
-                break
-            if k >= size:
-                size = 64 if size == 0 else min(size * 2, 8192)
-                expo = rng.standard_exponential(size).tolist()
-                unif = rng.random(size).tolist()
-                k = 0
-            t += expo[k] / rate
-            u = unif[k]
-            k += 1
-            if t >= horizon:
-                total += gl[s] * (disc_prev - exp(-r * horizon)) / r
-                break
-            disc = exp(-r * t)
-            total += gl[s] * (disc_prev - disc) / r
-            disc_prev = disc
-            cu = cums[s]
-            j = 0
-            while u > cu[j]:
-                j += 1
-            s = targets[s][j]
-        vals[kpath] = total
+        jt, st = _walk(rates, cums, targets, i0 - 1, horizon, rng)
+        disc = np.exp(-r * np.append(jt, horizon))
+        vals[kpath] = g[st] @ (disc[:-1] - disc[1:]) / r
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
     return mean, se
 
-
-def write_regime_path_csv(path: RegimePath, fp) -> None:
-    """Serialize a path as CSV with columns t_jump, state."""
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["t_jump", "state"])
-    for t, s in zip(path.jump_times, path.states):
-        writer.writerow([format(float(t), ".12g"), int(s)])

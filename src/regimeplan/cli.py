@@ -21,17 +21,8 @@ import numpy as np
 
 from . import __version__
 from ._svg import line_plot
-from .model import (
-    ConfigError,
-    ModelParams,
-    discount_lower_bound,
-    load_params,
-    lq_constants,
-    validate_params,
-)
+from .model import ConfigError, ModelParams, load_params, validate_params
 from .policy import (
-    ValueReport,
-    convexity_check,
     default_grid,
     feedback_control,
     hamiltonian,
@@ -40,7 +31,6 @@ from .policy import (
     value_constant,
     value_function,
     value_report,
-    write_value_table_csv,
 )
 from .reference import (
     SWEEPS,
@@ -161,6 +151,13 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _regime_spans(times, regime):
     """Contiguous bands where the (1-based) regime is 2 or higher."""
     spans = []
@@ -176,18 +173,48 @@ def _regime_spans(times, regime):
     return spans
 
 
-def _write_certificate_csv(sol, fp) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["regime", "dominance_margin"])
-    for i, margin in enumerate(sol.certificate.margins()):
-        writer.writerow([i + 1, _g(margin)])
+def _write_solution_set(out_dir: Path, sol, coeffs) -> None:
+    """solution.csv, certificate.csv and feedback.csv of one solve."""
+    with open(out_dir / "solution.csv", "w", newline="") as fh:
+        write_solution_csv(sol, fh)
+    _write_csv(out_dir / "certificate.csv", ["regime", "dominance_margin"],
+               [[i + 1, _g(margin)]
+                for i, margin in enumerate(sol.certificate.margins())])
+    _write_csv(out_dir / "feedback.csv", ["regime", "slope", "intercept"],
+               [[i + 1, _g(slope), _g(intercept)]
+                for i, (slope, intercept)
+                in enumerate(zip(coeffs.slope, coeffs.intercept))])
 
 
-def _write_feedback_csv(coeffs, fp) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["regime", "slope", "intercept"])
-    for i in range(len(coeffs.slope)):
-        writer.writerow([i + 1, _g(coeffs.slope[i]), _g(coeffs.intercept[i])])
+def _write_table(path: Path, rows, m: int) -> None:
+    """table.csv: one row of phi and psi per swept value."""
+    header = (["param", "value"]
+              + [f"phi_{i + 1}" for i in range(m)]
+              + [f"psi_{i + 1}" for i in range(m)])
+    _write_csv(path, header,
+               [[row["param"], row["token"]]
+                + [_g(v) for v in row["sol"].phi]
+                + [_g(v) for v in row["sol"].psi] for row in rows])
+
+
+def _write_curves(csv_path: Path, svg_path: Path, grid, curves, title: str,
+                  ylabel: str) -> None:
+    """A set of curves on one grid as a CSV table and an SVG plot.
+
+    curves holds (CSV column name, plot legend label, values on grid) triples.
+    """
+    _write_csv(csv_path, ["x"] + [column for column, _, _ in curves],
+               [[_g(x)] + [_g(values[k]) for _, _, values in curves]
+                for k, x in enumerate(grid)])
+    _write_text(svg_path, line_plot(
+        [(label, grid, values) for _, label, values in curves],
+        title=title, xlabel="x", ylabel=ylabel))
+
+
+def _regime_curves(rep):
+    """One value curve per regime, as :func:`_write_curves` takes them."""
+    return [(f"v_regime_{i + 1}", f"regime {i + 1}", rep.table[:, i])
+            for i in range(rep.table.shape[1])]
 
 
 # ---------------------------------------------------------------------------
@@ -201,45 +228,30 @@ def benchmark_solution():
     return p, sol, policy_coefficients(sol, p)
 
 
-def table_rows():
-    """Solve the four reference sweeps; one dict per row, 12 rows in all."""
-    p = benchmark_params()
+def _sweep_rows(p: ModelParams, param: str, values):
+    """Solve p with each value of one swept quantity; one dict per value."""
     rows = []
-    for param in ("r", "q", "theta", "sigma"):
-        for value in SWEEPS[param]:
+    for value in values:
+        try:
             ps = sweep_params(p, param, value)
-            sol = solve(ps)
-            rows.append({
-                "param": param,
-                "value": value,
-                "token": _value_token(param, value),
-                "label": sweep_value_label(param, value),
-                "params": ps,
-                "sol": sol,
-            })
+        except ValueError as exc:
+            raise CliError(EXIT_CONFIG, str(exc))
+        rows.append({
+            "param": param,
+            "value": value,
+            "token": _value_token(param, value),
+            "label": sweep_value_label(param, value),
+            "params": ps,
+            "sol": _solve_checked(ps),
+        })
     return rows
 
 
-def _write_table_csv(rows, m: int, fp) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
-    header = (["param", "value"]
-              + [f"phi_{i + 1}" for i in range(m)]
-              + [f"psi_{i + 1}" for i in range(m)])
-    writer.writerow(header)
-    for row in rows:
-        sol = row["sol"]
-        writer.writerow([row["param"], row["token"]]
-                        + [_g(v) for v in sol.phi]
-                        + [_g(v) for v in sol.psi])
-
-
-def _value_svg(rep: ValueReport, labels=None, title="") -> str:
-    m = rep.table.shape[1]
-    series = []
-    for i in range(m):
-        label = labels[i] if labels else f"regime {i + 1}"
-        series.append((label, rep.grid, rep.table[:, i]))
-    return line_plot(series, title=title, xlabel="x", ylabel="v(x, i)")
+def table_rows():
+    """Solve the four reference sweeps; one dict per row, 12 rows in all."""
+    p = benchmark_params()
+    return [row for param in ("r", "q", "theta", "sigma")
+            for row in _sweep_rows(p, param, SWEEPS[param])]
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +261,8 @@ def _value_svg(rep: ValueReport, labels=None, title="") -> str:
 def cmd_solve(args, out_dir: Path) -> int:
     p = _load(args)
     sol = _solve_checked(p)
-    with open(out_dir / "solution.csv", "w", newline="") as fh:
-        write_solution_csv(sol, fh)
-    with open(out_dir / "certificate.csv", "w", newline="") as fh:
-        _write_certificate_csv(sol, fh)
     coeffs = policy_coefficients(sol, p)
-    with open(out_dir / "feedback.csv", "w", newline="") as fh:
-        _write_feedback_csv(coeffs, fh)
+    _write_solution_set(out_dir, sol, coeffs)
     res = max(float(np.max(np.abs(sol.residual_phi))),
               float(np.max(np.abs(sol.residual_psi))))
     for i in range(p.m):
@@ -270,38 +277,16 @@ def cmd_sweep(args, out_dir: Path) -> int:
     p = _load(args)
     values = _parse_sweep_values(args.param, args.values)
     grid = _parse_grid(args.grid)
-    rows = []
-    for value in values:
-        try:
-            ps = sweep_params(p, args.param, value)
-        except ValueError as exc:
-            raise CliError(EXIT_CONFIG, str(exc))
-        sol = _solve_checked(ps)
-        rows.append({
-            "param": args.param,
-            "value": value,
-            "token": _value_token(args.param, value),
-            "label": sweep_value_label(args.param, value),
-            "params": ps,
-            "sol": sol,
-        })
-    with open(out_dir / "table.csv", "w", newline="") as fh:
-        _write_table_csv(rows, p.m, fh)
-    reports = [(row["label"], value_report(row["sol"], row["params"], grid))
-               for row in rows]
+    rows = _sweep_rows(p, args.param, values)
+    _write_table(out_dir / "table.csv", rows, p.m)
+    reports = [value_report(row["sol"], row["params"], grid) for row in rows]
     for i in range(p.m):
-        series = [(label, rep.grid, rep.table[:, i]) for label, rep in reports]
-        svg = line_plot(series, title=f"value function, regime {i + 1}",
-                        xlabel="x", ylabel=f"v(x, {i + 1})")
-        _write_text(out_dir / f"value_regime_{i + 1}.svg", svg)
-        with open(out_dir / f"value_curves_regime_{i + 1}.csv", "w",
-                  newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x"] + [f"{row['param']}={row['token']}"
-                                     for row in rows])
-            for k in range(grid.shape[0]):
-                writer.writerow([_g(grid[k])]
-                                + [_g(rep.table[k, i]) for _, rep in reports])
+        _write_curves(out_dir / f"value_curves_regime_{i + 1}.csv",
+                      out_dir / f"value_regime_{i + 1}.svg", grid,
+                      [(f"{row['param']}={row['token']}", row["label"],
+                        rep.table[:, i]) for row, rep in zip(rows, reports)],
+                      title=f"value function, regime {i + 1}",
+                      ylabel=f"v(x, {i + 1})")
     for row in rows:
         sol = row["sol"]
         cells = " ".join(f"phi({i + 1})={sol.phi[i]:.4f}" for i in range(p.m))
@@ -316,9 +301,8 @@ def cmd_value(args, out_dir: Path) -> int:
     sol = _solve_checked(p)
     grid = _parse_grid(args.grid)
     rep = value_report(sol, p, grid)
-    with open(out_dir / "value.csv", "w", newline="") as fh:
-        write_value_table_csv(rep, fh)
-    _write_text(out_dir / "value.svg", _value_svg(rep, title="value function"))
+    _write_curves(out_dir / "value.csv", out_dir / "value.svg", grid,
+                  _regime_curves(rep), title="value function", ylabel="v(x, i)")
     w = value_constant(sol, p)
     for i in range(p.m):
         print(f"v(x, {i + 1}) = {0.5 * sol.phi[i]:.6f} x^2 "
@@ -379,12 +363,6 @@ def cmd_check(args, out_dir: Path) -> int:
                   "all invariants hold" if report.ok
                   else "; ".join(report.violations)))
 
-    bad = [i + 1 for i in range(p.m) if not convexity_check(i + 1, 0.0, 0.0, p)]
-    items.append(("convexity", not bad,
-                  "N, R nonnegative in every regime" if not bad
-                  else "nonconvex running cost in regime "
-                       + ", ".join(str(i) for i in bad)))
-
     sol = None
     try:
         sol = solve(p)
@@ -394,11 +372,6 @@ def cmd_check(args, out_dir: Path) -> int:
                       f"max residual {res:.2e} in {sol.iterations} iterations"))
     except (ValueError, NonConvergence) as exc:
         items.append(("riccati solve", False, str(exc)))
-
-    phi0 = sol.phi if sol is not None else np.zeros(p.m)
-    bound = discount_lower_bound(lq_constants(p, phi0))
-    items.append(("discount bound", p.r > bound,
-                  f"r={p.r:g} vs required > {bound:g}"))
 
     if sol is None:
         items.append(("dominance certificate", None, "needs a solved system"))
@@ -447,60 +420,58 @@ def cmd_check(args, out_dir: Path) -> int:
     return EXIT_CHECK if failed else EXIT_OK
 
 
+def _read_expected(path):
+    """Reference values and tolerance, checked before any solve or MC work."""
+    if path is None:
+        expected = expected_values()
+    else:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                expected = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise CliError(EXIT_CONFIG, f"cannot read expected values: {exc}")
+    if not isinstance(expected, dict):
+        raise CliError(EXIT_CONFIG, "expected values must be a JSON object")
+    bench = expected.get("benchmark")
+    missing = [key for key in ("tolerance", "table") if key not in expected]
+    missing += [f"benchmark.{key}" for key in ("phi", "psi", "slope", "intercept")
+                if not isinstance(bench, dict) or key not in bench]
+    if missing:
+        raise CliError(EXIT_CONFIG, "expected values lack " + ", ".join(missing))
+    try:
+        return expected, float(expected["tolerance"])
+    except (TypeError, ValueError):
+        raise CliError(EXIT_CONFIG, "expected tolerance must be a number")
+
+
 def cmd_reproduce(args, out_dir: Path) -> int:
     if args.config is not None:
         raise CliError(EXIT_CONFIG,
                        "reproduce uses the built-in benchmark configuration")
-    if args.expected is None:
-        expected = expected_values()
-    else:
-        try:
-            with open(args.expected, "r", encoding="utf-8") as fh:
-                expected = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(EXIT_CONFIG, f"cannot read expected values: {exc}")
-    tol = float(expected["tolerance"])
+    expected, tol = _read_expected(args.expected)
 
     p, sol, coeffs = benchmark_solution()
-    with open(out_dir / "solution.csv", "w", newline="") as fh:
-        write_solution_csv(sol, fh)
-    with open(out_dir / "certificate.csv", "w", newline="") as fh:
-        _write_certificate_csv(sol, fh)
-    with open(out_dir / "feedback.csv", "w", newline="") as fh:
-        _write_feedback_csv(coeffs, fh)
+    _write_solution_set(out_dir, sol, coeffs)
 
     rows = table_rows()
-    with open(out_dir / "table.csv", "w", newline="") as fh:
-        _write_table_csv(rows, p.m, fh)
+    _write_table(out_dir / "table.csv", rows, p.m)
 
     grid = default_grid()
-    rep = value_report(sol, p, grid)
-    with open(out_dir / "value_benchmark.csv", "w", newline="") as fh:
-        write_value_table_csv(rep, fh)
-    _write_text(out_dir / "value_benchmark.svg",
-                _value_svg(rep, title="value function, benchmark"))
+    _write_curves(out_dir / "value_benchmark.csv",
+                  out_dir / "value_benchmark.svg", grid,
+                  _regime_curves(value_report(sol, p, grid)),
+                  title="value function, benchmark", ylabel="v(x, i)")
+    reports = [value_report(row["sol"], row["params"], grid) for row in rows]
     for param in ("r", "q", "theta", "sigma"):
-        prows = [row for row in rows if row["param"] == param]
-        reports = [(row, value_report(row["sol"], row["params"], grid))
-                   for row in prows]
-        series = []
-        for row, vrep in reports:
-            for i in range(p.m):
-                series.append((f"{row['label']} i={i + 1}",
-                               vrep.grid, vrep.table[:, i]))
-        _write_text(out_dir / f"value_sweep_{param}.svg",
-                    line_plot(series, title=f"value functions for swept {param}",
-                              xlabel="x", ylabel="v(x, i)"))
-        with open(out_dir / f"value_sweep_{param}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x"] + [f"{param}={row['token']} i={i + 1}"
-                                     for row, _ in reports
-                                     for i in range(p.m)])
-            for k in range(grid.shape[0]):
-                writer.writerow([_g(grid[k])]
-                                + [_g(vrep.table[k, i])
-                                   for _, vrep in reports
-                                   for i in range(p.m)])
+        _write_curves(out_dir / f"value_sweep_{param}.csv",
+                      out_dir / f"value_sweep_{param}.svg", grid,
+                      [(f"{param}={row['token']} i={i + 1}",
+                        f"{row['label']} i={i + 1}", rep.table[:, i])
+                       for row, rep in zip(rows, reports)
+                       if row["param"] == param
+                       for i in range(p.m)],
+                      title=f"value functions for swept {param}",
+                      ylabel="v(x, i)")
 
     sim_cfg = SimConfig(dt=0.01, horizon=10.0, n_paths=1, seed=args.seed,
                         x0=0.0, i0=1)
@@ -566,17 +537,18 @@ def cmd_reproduce(args, out_dir: Path) -> int:
 
     n_ok = 0
     bad_cells = []
-    with open(out_dir / "diff.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cell", "expected", "actual", "abs_error", "within_tol"])
-        for name, exp, act in cells:
-            err = abs(exp - act)
-            ok = err <= tol
-            n_ok += int(ok)
-            if not ok:
-                bad_cells.append(name)
-            writer.writerow([name, format(exp, "g"), _g(act),
-                             format(err, ".3e"), "true" if ok else "false"])
+    diff_rows = []
+    for name, exp, act in cells:
+        err = abs(exp - act)
+        ok = err <= tol
+        n_ok += int(ok)
+        if not ok:
+            bad_cells.append(name)
+        diff_rows.append([name, format(exp, "g"), _g(act),
+                          format(err, ".3e"), "true" if ok else "false"])
+    _write_csv(out_dir / "diff.csv",
+               ["cell", "expected", "actual", "abs_error", "within_tol"],
+               diff_rows)
 
     pairs = " / ".join(f"({coeffs.slope[i]:.4f}, {coeffs.intercept[i]:.4f})"
                        for i in range(p.m))

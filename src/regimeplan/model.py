@@ -1,4 +1,4 @@
-"""Parameter containers, validation, and admissibility bounds.
+"""Parameter containers, validation, and JSON config files.
 
 The market regime follows a continuous-time Markov chain on {1, ..., m}
 with generator Q (off-diagonal q_ij >= 0, rows summing to zero).  Given a
@@ -19,6 +19,7 @@ arrays are 0-based.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +29,7 @@ __all__ = [
     "Generator",
     "ModelParams",
     "ValidationReport",
-    "LipschitzConstants",
     "validate_params",
-    "discount_lower_bound",
-    "lq_constants",
     "load_params",
     "save_params",
     "params_from_config",
@@ -144,33 +142,6 @@ class ValidationReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class LipschitzConstants:
-    """Coefficient bounds entering the discount-rate admissibility condition.
-
-    kappa_b and kappa_sigma bound the drift/diffusion Lipschitz moduli,
-    kappa_1 is the one-sided monotonicity constant of the drift, lambda_b
-    the logarithmic norm bound, and kappa_B, kappa_Sigma the quadratic
-    growth bounds of the adjoint coefficients.
-    """
-
-    kappa_b: float
-    kappa_sigma: float
-    kappa_1: float
-    lambda_b: float
-    kappa_B: float
-    kappa_Sigma: float
-
-    def __post_init__(self) -> None:
-        vals = (self.kappa_b, self.kappa_sigma, self.kappa_1,
-                self.lambda_b, self.kappa_B, self.kappa_Sigma)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError("Lipschitz constants must be finite")
-        for name in ("kappa_b", "kappa_sigma", "kappa_B", "kappa_Sigma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-
-
 def validate_params(p: ModelParams) -> ValidationReport:
     """Check every model invariant; return the (possibly empty) violation list.
 
@@ -180,57 +151,39 @@ def validate_params(p: ModelParams) -> ValidationReport:
     q = p.gen.q
     m = p.m
     for i in range(m):
-        if p.gen.row_sum_error[i] > _ROW_SUM_TOL:
+        if not p.gen.row_sum_error[i] <= _ROW_SUM_TOL:
             bad.append(f"generator row {i + 1} sum nonzero")
         for j in range(m):
-            if i != j and q[i, j] < 0:
+            if i == j:
+                continue
+            if not math.isfinite(q[i, j]):
+                bad.append(f"generator entry ({i + 1},{j + 1}) not finite")
+            elif q[i, j] < 0:
                 bad.append(f"generator entry ({i + 1},{j + 1}) negative")
-    if not p.r > 0:
+    if not math.isfinite(p.r):
+        bad.append("r not finite")
+    elif not p.r > 0:
         bad.append("r not positive")
-    for name in ("sigma", "c", "h", "N", "R"):
+    for name in ("theta", "sigma", "c", "h", "N", "R"):
         vec = getattr(p, name)
         for i in range(m):
-            if not vec[i] > 0:
+            if not math.isfinite(vec[i]):
+                bad.append(f"{name}({i + 1}) not finite")
+            elif name != "theta" and not vec[i] > 0:
                 bad.append(f"{name}({i + 1}) not positive")
     return ValidationReport(tuple(bad))
-
-
-def discount_lower_bound(k: LipschitzConstants) -> float:
-    """Strict lower bound the discount rate must exceed for admissibility.
-
-    Returns max(kappa_sigma^2 - 2 kappa_1, kappa_Sigma + 2 lambda_b).
-    """
-    return max(k.kappa_sigma ** 2 - 2.0 * k.kappa_1, k.kappa_Sigma + 2.0 * k.lambda_b)
-
-
-def lq_constants(p: ModelParams, phi) -> LipschitzConstants:
-    """Constants of the closed-loop linear-quadratic system for a curvature phi >= 0.
-
-    The closed-loop drift is affine with slope -phi(i)/R(i), so its Lipschitz
-    modulus is max_i phi(i)/R(i) and its monotonicity constant is min_i phi(i);
-    the diffusion is state-independent (kappa_sigma = 0) and the adjoint
-    coefficient bounds kappa_B, kappa_Sigma, lambda_b vanish.  Consequently the
-    discount bound reduces to r > 0.
-    """
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (p.m,):
-        raise ValueError(f"phi must have length m={p.m}")
-    if np.any(phi < 0):
-        raise ValueError("phi must be nonnegative")
-    return LipschitzConstants(
-        kappa_b=float(np.max(phi / p.R)),
-        kappa_sigma=0.0,
-        kappa_1=float(np.min(phi)),
-        lambda_b=0.0,
-        kappa_B=0.0,
-        kappa_Sigma=0.0,
-    )
 
 
 def _as_number(value, key):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"key {key!r} must be a number")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r} must be finite")
+    return value
 
 
 def _as_vector(value, key, m):

@@ -31,13 +31,11 @@ __all__ = [
     "ValueReport",
     "hamiltonian",
     "hamiltonian_minimizer",
-    "hamiltonian_dx",
     "feedback_control",
     "policy_coefficients",
     "value_constant",
     "value_function",
     "value_report",
-    "convexity_check",
     "write_value_table_csv",
     "default_grid",
 ]
@@ -92,12 +90,6 @@ def hamiltonian_minimizer(i: int, y: float, p: ModelParams) -> float:
     return float(p.h[j] - y / p.R[j])
 
 
-def hamiltonian_dx(x: float, i: int, y: float, p: ModelParams) -> float:
-    """Partial derivative of H in x: N(i)(x - c(i)) - r y (u- and z-independent)."""
-    j = i - 1
-    return float(p.N[j] * (x - p.c[j]) - p.r * y)
-
-
 def policy_coefficients(sol: RiccatiSolution, p: ModelParams) -> PolicyCoefficients:
     slope = -(sol.phi / p.R)
     intercept = -(sol.psi / p.R) + p.h
@@ -138,16 +130,6 @@ def value_report(sol: RiccatiSolution, p: ModelParams, grid=None) -> ValueReport
         arr.setflags(write=False)
     return ValueReport(quad=0.5 * sol.phi, lin=sol.psi, const=w,
                        grid=grid, table=table)
-
-
-def convexity_check(i: int, y: float, z: float, p: ModelParams) -> bool:
-    """Positive semidefiniteness of the (x, u)-Hessian of H in regime i.
-
-    The Hessian is diag(N(i), R(i)) regardless of (y, z), so the check reduces
-    to N(i) >= 0 and R(i) >= 0.
-    """
-    j = i - 1
-    return bool(p.N[j] >= 0.0 and p.R[j] >= 0.0)
 
 
 def write_value_table_csv(report: ValueReport, fp) -> None:

@@ -74,13 +74,17 @@ class DominanceCertificate:
     """
 
     matrix_A_phi: np.ndarray
-    min_dominance_margin: float
 
     def margins(self) -> np.ndarray:
         """Row dominance margins: diagonal minus the off-diagonal absolute sums."""
         a = self.matrix_A_phi
         diag = np.diag(a)
         return diag - (np.sum(np.abs(a), axis=1) - np.abs(diag))
+
+    @property
+    def min_dominance_margin(self) -> float:
+        """Smallest row margin; a positive value certifies uniqueness."""
+        return float(np.min(self.margins()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,12 +100,17 @@ class RiccatiSolution:
 def _require_solvable(p: ModelParams) -> None:
     """Reject parameters outside the solver's hypotheses.
 
-    Only what the quadratic and slope systems rely on is checked: nonnegative
-    switching rates, r > 0, and strictly positive N and R.  Noise and target
-    levels never enter these systems, so sigma = 0 or arbitrary c, h are fine
-    here even though the full model validation flags them.
+    Only what the quadratic and slope systems rely on is checked: finite
+    inputs, nonnegative switching rates, r > 0, and strictly positive N and R.
+    Noise and target levels never enter these systems, so sigma = 0 or
+    arbitrary c, h are fine here even though the full model validation flags
+    them.
     """
     problems = []
+    for name, val in (("generator", p.gen.q), ("r", p.r), ("theta", p.theta),
+                      ("c", p.c), ("h", p.h), ("N", p.N), ("R", p.R)):
+        if not np.all(np.isfinite(val)):
+            problems.append(f"{name} not finite")
     off = p.gen.q - np.diag(np.diag(p.gen.q))
     if np.any(off < 0.0):
         problems.append("generator off-diagonal entry negative")
@@ -121,8 +130,7 @@ def are_residual(phi, p: ModelParams) -> np.ndarray:
     return phi * phi / p.R + p.r * phi - p.gen.q @ phi - p.N
 
 
-def solve_are(p: ModelParams, tol: float = DEFAULT_TOL,
-              max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
+def solve_are(p: ModelParams) -> np.ndarray:
     """Unique nonnegative solution of the quadratic system by damped Newton.
 
     Starts at phi = 0.  The Jacobian diag(2 phi(i)/R(i) + r) - Q is strictly
@@ -130,9 +138,10 @@ def solve_are(p: ModelParams, tol: float = DEFAULT_TOL,
     step is halved until the residual norm decreases (at most 60 halvings) and
     iterates are clamped at 0 componentwise.
 
-    Raises :class:`NonConvergence` if max_iter is exceeded.
+    Raises :class:`NonConvergence` if DEFAULT_MAX_ITER iterations do not
+    reach DEFAULT_TOL.
     """
-    phi, _ = _newton(p, tol, max_iter)
+    phi, _ = _newton(p, DEFAULT_TOL, DEFAULT_MAX_ITER)
     return phi
 
 
@@ -191,8 +200,7 @@ def _psi_system(phi, p: ModelParams):
     return bmat, rhs
 
 
-def elimination_solve(p: ModelParams, tol: float = 1e-10,
-                      m_max: int = ELIMINATION_MAX_M) -> np.ndarray:
+def elimination_solve(p: ModelParams) -> np.ndarray:
     """Independent curvature solver by coordinate elimination.
 
     For fixed (phi_2, ..., phi_m) the first equation is a scalar quadratic in
@@ -207,8 +215,8 @@ def elimination_solve(p: ModelParams, tol: float = 1e-10,
     """
     _require_solvable(p)
     m = p.m
-    if m > m_max:
-        raise ValueError(f"elimination solver is limited to m <= {m_max}")
+    if m > ELIMINATION_MAX_M:
+        raise ValueError(f"elimination solver is limited to m <= {ELIMINATION_MAX_M}")
     q = p.gen.q
     big_r = [float(v) for v in p.R]
     big_n = [float(v) for v in p.N]
@@ -257,9 +265,9 @@ def elimination_solve(p: ModelParams, tol: float = 1e-10,
 
     phi = solve_prefix(m - 1, np.empty(0))
     norm = float(np.max(np.abs(are_residual(phi, p))))
-    if norm > tol:
+    if norm > 1e-10:
         raise NonConvergence(
-            f"elimination residual {norm:.3e} above tol={tol:g}", norm)
+            f"elimination residual {norm:.3e} above tol=1e-10", norm)
     return phi
 
 
@@ -278,10 +286,7 @@ def uniqueness_certificate(phi_a, phi_b, p: ModelParams) -> DominanceCertificate
     q = p.gen.q
     a = np.diag((phi_a + phi_b) / p.R + p.r) - q
     a.setflags(write=False)
-    diag = np.diag(a)
-    margins = diag - (np.sum(np.abs(a), axis=1) - np.abs(diag))
-    return DominanceCertificate(matrix_A_phi=a,
-                                min_dominance_margin=float(np.min(margins)))
+    return DominanceCertificate(matrix_A_phi=a)
 
 
 def solve(p: ModelParams, tol: float = DEFAULT_TOL,

@@ -43,12 +43,7 @@ __all__ = [
     "shifted_policy",
     "write_path_csv",
     "write_mc_summary_csv",
-    "DEFAULT_HORIZON",
 ]
-
-# e^{-rT} ~ 4.5e-5 at r = 0.05: a sensible cost-truncation horizon for the
-# discount rates used here.
-DEFAULT_HORIZON = 200.0
 
 _BLOCK = 2048  # paths per vectorized block; bounds transient memory
 
@@ -162,20 +157,14 @@ class _EngineOut:
     paths: tuple | None        # (times, X, U, REG, COST) matrices if kept
 
 
-def _run(p: ModelParams, apply, cfg: SimConfig, *, antithetic: bool = False,
+def _run(p: ModelParams, apply, cfg: SimConfig, *,
          keep_paths: bool = False, checkpoint_nodes=()) -> _EngineOut:
-    """Drive all paths through the Euler scheme in blocks.
-
-    With antithetic=True consecutive paths form pairs sharing one regime path
-    and stream, the second member flipping the Brownian increments.
-    """
+    """Drive all paths through the Euler scheme in blocks."""
     if not p.r > 0:
         raise ValueError("r not positive")
     if not 1 <= cfg.i0 <= p.m:
         raise ValueError(f"i0 out of range: {cfg.i0}")
     n_paths = cfg.n_paths
-    if antithetic and (n_paths % 2 or n_paths < 4):
-        raise ValueError("antithetic runs need an even n_paths >= 4")
     n = cfg.n_steps
     times = cfg.times()
     dt = cfg.dt
@@ -203,12 +192,11 @@ def _run(p: ModelParams, apply, cfg: SimConfig, *, antithetic: bool = False,
         reg = np.empty((nb, n + 1), dtype=np.int16)
         dw = np.empty((nb, n))
         for k in range(nb):
-            stream, flip = divmod(lo + k, 2) if antithetic else (lo + k, 0)
-            chain_rng = np.random.default_rng([cfg.seed, stream, 0])
+            chain_rng = np.random.default_rng([cfg.seed, lo + k, 0])
             jt, st = _walk(rates, cums, targets, i0, horizon, chain_rng)
             reg[k] = regimes_on_grid(jt, st, times)
-            z = np.random.default_rng([cfg.seed, stream, 1]).standard_normal(n)
-            dw[k] = (-sqrt_dt if flip else sqrt_dt) * z
+            z = np.random.default_rng([cfg.seed, lo + k, 1]).standard_normal(n)
+            dw[k] = sqrt_dt * z
         x = np.full(nb, float(cfg.x0))
         cost = np.zeros(nb)
         g_prev = None
@@ -267,8 +255,7 @@ def simulate_controlled(p: ModelParams, sol: RiccatiSolution,
     return paths
 
 
-def mc_cost(p: ModelParams, sol_or_policy, cfg: SimConfig,
-            antithetic: bool = False) -> MCEstimate:
+def mc_cost(p: ModelParams, sol_or_policy, cfg: SimConfig) -> MCEstimate:
     """Mean and standard error of the discounted cost truncated at the horizon.
 
     sol_or_policy is either a RiccatiSolution (optimal feedback) or a callable
@@ -278,20 +265,12 @@ def mc_cost(p: ModelParams, sol_or_policy, cfg: SimConfig,
     plug-in estimate of the post-T conditional expectation supremum, reported
     so comparisons against analytic values can budget for the discarded tail.
     It is an empirical estimate, not a proven bound.
-
-    With antithetic=True, paths 2u and 2u+1 share a regime path and stream
-    with mirrored Brownian increments, and the standard error is computed
-    over the pair averages.
     """
     if cfg.n_paths < 2:
         raise ValueError("mc_cost needs n_paths >= 2")
-    out = _run(p, _apply_fn(p, sol_or_policy), cfg, antithetic=antithetic)
-    if antithetic:
-        vals = 0.5 * (out.costs[0::2] + out.costs[1::2])
-    else:
-        vals = out.costs
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(vals.shape[0]))
+    out = _run(p, _apply_fn(p, sol_or_policy), cfg)
+    mean = float(np.mean(out.costs))
+    se = float(np.std(out.costs, ddof=1) / math.sqrt(cfg.n_paths))
     t_end = cfg.n_steps * cfg.dt
     bound = math.exp(-p.r * t_end) * out.tail_max / p.r
     return MCEstimate(mean=mean, std_error=se, n=cfg.n_paths,

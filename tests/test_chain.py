@@ -1,12 +1,10 @@
 """Chain simulation, grid sampling, and the discounted resolvent."""
 
-import io
-
 import numpy as np
 import pytest
 
 from regimeplan import Generator, discounted_functional_mc, discounted_resolvent, simulate_chain
-from regimeplan.chain import regimes_on_grid, write_regime_path_csv
+from regimeplan.chain import regimes_on_grid
 
 
 def test_simulate_chain_deterministic():
@@ -143,16 +141,7 @@ def test_functional_mc_validation():
         discounted_functional_mc(gen, -0.1, [1.0, 1.0], 1, 10.0, 4, seed=0)
     with pytest.raises(ValueError, match="i0"):
         discounted_functional_mc(gen, 0.1, [1.0, 1.0], 0, 10.0, 4, seed=0)
-
-
-def test_write_regime_path_csv():
-    gen = Generator.two_state_symmetric(1.0)
-    path = simulate_chain(gen, 1, 5.0, seed=1)
-    buf = io.StringIO()
-    write_regime_path_csv(path, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "t_jump,state"
-    assert len(lines) == 1 + len(path.states)
-    t0, s0 = lines[1].split(",")
-    assert float(t0) == 0.0
-    assert int(s0) == 1
+    with pytest.raises(ValueError, match="n_paths"):
+        discounted_functional_mc(gen, 0.1, [1.0, 1.0], 1, 10.0, 0, seed=0)
+    with pytest.raises(ValueError, match="horizon"):
+        discounted_functional_mc(gen, 0.1, [1.0, 1.0], 1, 0.0, 4, seed=0)

@@ -91,6 +91,12 @@ def test_invalid_params_exit_2(tmp_path, capsys):
     assert "r not positive" in capsys.readouterr().err
 
 
+def test_non_finite_config_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, r=float("inf"))  # serialized as Infinity
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "key 'r' must be finite" in capsys.readouterr().err
+
+
 def test_nonconvergence_exit_3(tmp_path, capsys, monkeypatch):
     def fake(p):
         raise NonConvergence("no progress", residual=1.0)
@@ -180,7 +186,7 @@ def test_simulate_zero_sigma_config(tmp_path):
 def test_check_benchmark_passes(tmp_path, capsys):
     assert run(["check", "--out", str(tmp_path), "--label", "ok"]) == 0
     out = capsys.readouterr().out
-    for name in ("parameters", "convexity", "riccati solve", "discount bound",
+    for name in ("parameters", "riccati solve",
                  "dominance certificate", "adjoint residual",
                  "hamiltonian minimizer"):
         assert f"PASS {name}" in out
@@ -194,7 +200,6 @@ def test_check_flags_bad_weight(tmp_path, capsys):
     assert run(["check", "--config", cfg, "--out", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "FAIL parameters" in out
-    assert "FAIL convexity" in out
     assert "SKIP" in out  # solver-dependent items cannot run
 
 
@@ -232,6 +237,17 @@ def test_reproduce_flags_tampered_expectations(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "mismatch:" in captured.err
     assert "diff: 55/56 cells within 0.001" in captured.out
+
+
+def test_reproduce_rejects_incomplete_expectations(tmp_path, capsys):
+    fn = tmp_path / "expected.json"
+    fn.write_text("{}", encoding="utf-8")
+    assert run(["reproduce", "--expected", str(fn), "--out", str(tmp_path),
+                "--label", "empty"]) == 2
+    err = capsys.readouterr().err
+    assert "tolerance" in err and "benchmark.phi" in err and "table" in err
+    # rejected before any artifact is written
+    assert [f.name for f in (tmp_path / "reproduce" / "empty").iterdir()] == ["manifest.json"]
 
 
 def test_reproduce_rejects_config(tmp_path, capsys):

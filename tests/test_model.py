@@ -9,9 +9,7 @@ from regimeplan import (
     ConfigError,
     Generator,
     ModelParams,
-    discount_lower_bound,
     load_params,
-    lq_constants,
     params_from_config,
     params_to_config,
     save_params,
@@ -101,27 +99,15 @@ def test_validate_flags_positivity():
     assert "R(1) not positive" not in rep.violations
 
 
-def test_lq_constants_benchmark(p_bench, sol_bench):
-    k = lq_constants(p_bench, sol_bench.phi)
-    assert k.kappa_sigma == 0.0
-    assert k.lambda_b == 0.0
-    assert k.kappa_B == 0.0
-    assert k.kappa_Sigma == 0.0
-    assert k.kappa_1 == pytest.approx(float(sol_bench.phi.min()))
-    assert k.kappa_b == pytest.approx(float((sol_bench.phi / p_bench.R).max()))
-    # with state-independent noise the admissibility bound degenerates to r > 0
-    assert discount_lower_bound(k) <= 0.0
-    assert p_bench.r > discount_lower_bound(k)
-
-
-def test_lq_constants_rejects_negative_phi(p_bench):
-    with pytest.raises(ValueError, match="nonnegative"):
-        lq_constants(p_bench, [-0.1, 0.2])
-
-
-def test_lq_constants_rejects_wrong_length(p_bench):
-    with pytest.raises(ValueError, match="length"):
-        lq_constants(p_bench, [0.1])
+def test_validate_flags_non_finite():
+    p = two_regime(gen=Generator([[-1.0, np.inf], [1.0, -1.0]]), r=np.inf,
+                   theta=[np.nan, 2.5], N=[0.4, -np.inf])
+    rep = validate_params(p)
+    assert "generator entry (1,2) not finite" in rep.violations
+    assert "r not finite" in rep.violations
+    assert "theta(1) not finite" in rep.violations
+    assert "N(2) not finite" in rep.violations
+    assert "theta(2) not finite" not in rep.violations
 
 
 def test_config_roundtrip(p_bench):
@@ -151,6 +137,16 @@ def test_config_rejects_bool_value(p_bench):
     raw = params_to_config(p_bench)
     raw["r"] = True
     with pytest.raises(ConfigError, match="must be a number"):
+        params_from_config(raw)
+
+
+@pytest.mark.parametrize("key, value", [("r", float("inf")), ("theta", [float("nan"), 2.5]),
+                                        ("Q", [-1.0, float("-inf"), 1.0, -1.0]),
+                                        ("N", [0.4, 10 ** 400])])
+def test_config_rejects_non_finite(p_bench, key, value):
+    raw = params_to_config(p_bench)
+    raw[key] = value
+    with pytest.raises(ConfigError, match=f"key '{key}' must be finite"):
         params_from_config(raw)
 
 

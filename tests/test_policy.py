@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from regimeplan import (
-    convexity_check,
     default_grid,
     feedback_control,
     hamiltonian,
-    hamiltonian_dx,
     hamiltonian_minimizer,
     policy_coefficients,
     value_constant,
@@ -59,14 +57,6 @@ def test_hamiltonian_curvatures(p_bench):
            - 2.0 * hamiltonian(x, i, u, y, z, p_bench)
            + hamiltonian(x - e, i, u, y, z, p_bench)) / e ** 2
     assert d2x == pytest.approx(p_bench.N[i - 1], abs=1e-9)
-
-
-def test_hamiltonian_dx_matches_difference(p_bench):
-    x, i, y, z, e = -2.3, 1, 1.1, 0.3, 1e-4
-    u = 2.0
-    fd = (hamiltonian(x + e, i, u, y, z, p_bench)
-          - hamiltonian(x - e, i, u, y, z, p_bench)) / (2.0 * e)
-    assert fd == pytest.approx(hamiltonian_dx(x, i, y, p_bench), abs=1e-8)
 
 
 def test_feedback_is_pointwise_minimizer(p_bench, sol_bench):
@@ -121,14 +111,6 @@ def test_value_curvature(p_bench, sol_bench):
 def test_default_grid_override():
     g = default_grid(-2.0, 2.0, 5)
     assert np.array_equal(g, [-2.0, -1.0, 0.0, 1.0, 2.0])
-
-
-def test_convexity_check(p_bench):
-    assert convexity_check(1, 0.0, 0.0, p_bench)
-    assert convexity_check(2, -3.0, 7.0, p_bench)
-    bad = p_bench.replace(N=[-0.1, 0.3])
-    assert not convexity_check(1, 0.0, 0.0, bad)
-    assert convexity_check(2, 0.0, 0.0, bad)
 
 
 def test_value_table_csv(p_bench, sol_bench):

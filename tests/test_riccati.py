@@ -146,6 +146,10 @@ def test_solver_hypothesis_checks(p_bench):
         solve(p_bench.replace(gen=Generator([[1.0, -1.0], [2.0, -2.0]])))
     with pytest.raises(ValueError, match="tol"):
         solve(p_bench, tol=0.0)
+    with pytest.raises(ValueError, match="theta not finite"):
+        solve(p_bench.replace(theta=[np.nan, 2.5]))
+    with pytest.raises(ValueError, match="r not finite"):
+        solve(p_bench.replace(r=np.inf))
 
 
 def test_zero_sigma_accepted(p_bench):

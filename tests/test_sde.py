@@ -143,24 +143,6 @@ def test_mc_needs_two_paths(p_bench, sol_bench):
         mc_cost(p_bench, sol_bench, cfg)
 
 
-def test_antithetic_parity(p_bench, sol_bench):
-    for n in (2, 5):
-        cfg = SimConfig(dt=0.1, horizon=1.0, n_paths=n, seed=0, x0=0.0, i0=1)
-        with pytest.raises(ValueError, match="even"):
-            mc_cost(p_bench, sol_bench, cfg, antithetic=True)
-
-
-def test_antithetic_reduces_error(p_bench, sol_bench):
-    plain_cfg = SimConfig(dt=0.05, horizon=50.0, n_paths=2000, seed=21, x0=0.0, i0=1)
-    plain = mc_cost(p_bench, sol_bench, plain_cfg)
-    anti = mc_cost(p_bench, sol_bench, plain_cfg, antithetic=True)
-    assert anti.n == plain.n
-    assert 0.0 < anti.std_error < plain.std_error
-    # both estimates target the same value
-    v0 = value_function(0.0, 1, sol_bench, p_bench)
-    assert abs(anti.mean - v0) < 6.0 * plain.std_error + plain.truncation_bound + 0.2
-
-
 def test_mc_matches_analytic_value(p_bench, sol_bench):
     v0 = value_function(0.0, 1, sol_bench, p_bench)
     cfg = SimConfig(dt=0.02, horizon=150.0, n_paths=1500, seed=2024, x0=0.0, i0=1)
