@@ -176,8 +176,10 @@ def discounted_functional_mc(gen: Generator, r: float, g, i0: int,
         raise ValueError("horizon must be positive")
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
-    rates, cums, targets = _jump_tables(gen)
     g = np.asarray(g, dtype=float)
+    if g.shape != (gen.m,):
+        raise ValueError(f"g must have length m={gen.m}")
+    rates, cums, targets = _jump_tables(gen)
     vals = np.empty(n_paths)
     for kpath in range(n_paths):
         rng = np.random.default_rng([seed, kpath])

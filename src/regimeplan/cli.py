@@ -438,10 +438,41 @@ def _read_expected(path):
                 if not isinstance(bench, dict) or key not in bench]
     if missing:
         raise CliError(EXIT_CONFIG, "expected values lack " + ", ".join(missing))
+    m = benchmark_params().m
+    bad = [f"benchmark.{key}" for key in ("phi", "psi", "slope", "intercept")
+           if not _numbers(bench[key], m)]
+    table = expected["table"]
+    if isinstance(table, list):
+        bad += [f"table[{k}]" for k, entry in enumerate(table)
+                if not _table_entry_ok(entry, m)]
+    else:
+        bad.append("table")
+    if bad:
+        raise CliError(EXIT_CONFIG, "malformed expected values: " + ", ".join(bad))
     try:
         return expected, float(expected["tolerance"])
     except (TypeError, ValueError):
         raise CliError(EXIT_CONFIG, "expected tolerance must be a number")
+
+
+def _numbers(value, m: int) -> bool:
+    """True for a JSON list of m numbers."""
+    return (isinstance(value, list) and len(value) == m
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for v in value))
+
+
+def _table_entry_ok(entry, m: int) -> bool:
+    """An expected table row: param, a value it accepts, and phi/psi lists."""
+    if not (isinstance(entry, dict) and isinstance(entry.get("param"), str)
+            and "value" in entry and _numbers(entry.get("phi"), m)
+            and _numbers(entry.get("psi"), m)):
+        return False
+    try:
+        _value_token(entry["param"], entry["value"])
+    except (TypeError, ValueError):
+        return False
+    return True
 
 
 def cmd_reproduce(args, out_dir: Path) -> int:

@@ -43,10 +43,19 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class PolicyCoefficients:
-    """Per-regime affine coefficients of the feedback law u = slope x + intercept."""
+    """Per-regime affine coefficients of the feedback law u = slope x + intercept.
+
+    Calling it evaluates the law as a policy (x, i, t) -> u with 1-based
+    regimes i; the Monte Carlo engine recognises the type and folds the law
+    into per-regime tables instead of calling it at every step.
+    """
 
     slope: np.ndarray
     intercept: np.ndarray
+
+    def __call__(self, x, i, t):
+        idx = np.asarray(i, dtype=np.int64) - 1
+        return self.slope[idx] * np.asarray(x, dtype=float) + self.intercept[idx]
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,13 +12,31 @@ is O(dt) regardless).  The running discounted cost
 
     int_0^t e^{-rs} (1/2)[N(a_s)(X_s - c(a_s))^2 + R(a_s)(u_s - h(a_s))^2] ds
 
-is accumulated by the trapezoidal rule, matching the scheme's order.
+is accumulated by the trapezoidal rule, matching the scheme's order; for
+estimates the trapezoid and the discount are folded into node weights
+dt e^{-r t_k}, halved at both ends.
+
+Affine laws u = s_i x + k_i (PolicyCoefficients, which the optimal feedback
+and shifted_policy are) are folded into per-regime tables for estimates:
+the step is x <- A_i x + B_i + sigma_i dW and the integrand
+alpha_i (x - xstar_i)^2 + gamma_i with alpha_i, gamma_i >= 0, so no policy is
+called per step.  Any other callable policy, and every law whose paths are
+kept (simulate_controlled), is evaluated at every grid node with the plain
+Euler and trapezoid arithmetic.  Each path keeps its current table entries
+and changes them only at its regime jumps, so there is no per-step regime
+lookup either.
 
 Every path owns fixed random streams keyed by (seed, path index), with the
-regime path drawn from one substream and the Brownian increments from
-another, and all reductions run over arrays in global path order.  A given
-SimConfig therefore produces bit-identical results no matter how paths are
-batched into blocks.
+regime path drawn from one substream and the normals from another.  Paths
+run in blocks of _BLOCK and time in chunks of _CHUNK grid nodes: a block's
+jump times become events at the first grid node at or after each jump, and
+its normals are drawn _CHUNK at a time per path (equal, bit for bit, to one
+full draw) and turned time-major.  mc_cost's memory therefore does not grow
+with the horizon, and grows with the path count by one float per path; only
+simulate_controlled keeps whole paths.  Every per-path operation is
+elementwise and runs in grid order, and all reductions run over arrays in
+global path order, so a given SimConfig produces bit-identical results
+whatever the block and chunk sizes.
 """
 
 import csv
@@ -27,9 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _jump_tables, _walk, regimes_on_grid
+from .chain import _jump_tables, _walk
 from .model import ModelParams
-from .policy import policy_coefficients
+from .policy import PolicyCoefficients, policy_coefficients
 from .riccati import RiccatiSolution
 
 __all__ = [
@@ -45,7 +63,10 @@ __all__ = [
     "write_mc_summary_csv",
 ]
 
-_BLOCK = 2048  # paths per vectorized block; bounds transient memory
+_BLOCK = 2048  # paths per vectorized block
+_CHUNK = 512   # grid nodes per time chunk; with _BLOCK bounds transient memory
+_KEEP_BUDGET = 1 << 30  # bytes simulate_controlled may retain
+_KEPT_PER_NODE = 32     # bytes per path and node: x, u, regime, disc_cost
 
 
 @dataclass(frozen=True)
@@ -124,29 +145,57 @@ def _ro(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _apply_fn(p: ModelParams, sol_or_policy):
-    """Vectorized control evaluator from a solution or a user policy.
+def _affine_tables(p: ModelParams, coeffs: PolicyCoefficients, dt: float) -> np.ndarray:
+    """Per-regime rows A, B, sigma, xstar, alpha, gamma of an affine law u = s x + k.
 
-    A user policy is any callable (x, i, t) -> u taking an array of states x,
-    the matching array of 1-based regimes i and the scalar time t, returning
-    something that broadcasts to x's shape.
+    The Euler step becomes x <- A x + B + sigma dW with A = 1 + s dt and
+    B = (k - theta) dt, and the running cost 1/2 [N (x - c)^2 + R (u - h)^2]
+    becomes alpha (x - xstar)^2 + gamma with alpha = 1/2 (N + R s^2) and
+    gamma = 1/2 N R (s c + k - h)^2 / (N + R s^2), both nonnegative.  Where
+    N + R s^2 = 0 the cost does not depend on x.
     """
-    if callable(sol_or_policy):
-        fn = sol_or_policy
+    s, k = coeffs.slope, coeffs.intercept
+    if s.shape != (p.m,) or k.shape != (p.m,):
+        raise ValueError(f"policy coefficients must have length m={p.m}")
+    curv = p.N + p.R * s * s
+    flat = curv == 0.0
+    den = np.where(flat, 1.0, curv)
+    xstar = np.where(flat, 0.0, (p.N * p.c - p.R * s * (k - p.h)) / den)
+    gamma = np.where(flat, 0.5 * (p.N * p.c ** 2 + p.R * (k - p.h) ** 2),
+                     0.5 * p.N * p.R * (s * p.c + k - p.h) ** 2 / den)
+    return np.array([1.0 + s * dt, (k - p.theta) * dt, p.sigma, xstar, 0.5 * curv, gamma])
 
-        def apply(x, idx, t):
-            u = np.asarray(fn(x, idx + 1, t), dtype=float)
-            return np.broadcast_to(u, x.shape)
 
-        return apply
-    coeffs = policy_coefficients(sol_or_policy, p)
-    slope = coeffs.slope
-    intercept = coeffs.intercept
+def _jump_events(p: ModelParams, cfg: SimConfig, lo: int, hi: int):
+    """Regime changes of paths lo..hi-1 on the grid, sorted by node.
 
-    def apply(x, idx, t):
-        return slope[idx] * x + intercept[idx]
-
-    return apply
+    Returns (node, path offset, new 0-based state) arrays.  A jump at time t
+    takes effect at the first grid node k with k dt >= t, as in
+    chain.regimes_on_grid; when a path jumps more than once before the next
+    node only its last state is kept.
+    """
+    rates, cums, targets = _jump_tables(p.gen)
+    horizon = cfg.n_steps * cfg.dt
+    times, states, counts = [], [], []
+    for k in range(lo, hi):
+        rng = np.random.default_rng([cfg.seed, k, 0])
+        jt, st = _walk(rates, cums, targets, cfg.i0 - 1, horizon, rng)
+        times += jt[1:]
+        states += st[1:]
+        counts.append(len(jt) - 1)
+    t = np.asarray(times, dtype=float)
+    # grid node k sits at k * dt exactly; t / dt may round across a node
+    node = np.ceil(t / cfg.dt)
+    node += node * cfg.dt < t
+    node -= (node - 1.0) * cfg.dt >= t
+    node = node.astype(np.intp)
+    path = np.repeat(np.arange(hi - lo), counts)
+    state = np.asarray(states, dtype=np.intp)
+    order = np.argsort(node, kind="stable")  # keeps each path's jumps in time order
+    node, path, state = node[order], path[order], state[order]
+    last = np.ones(node.shape[0], dtype=bool)
+    last[:-1] = (node[1:] != node[:-1]) | (path[1:] != path[:-1])
+    return node[last], path[last], state[last]
 
 
 @dataclass
@@ -157,73 +206,143 @@ class _EngineOut:
     paths: tuple | None        # (times, X, U, REG, COST) matrices if kept
 
 
-def _run(p: ModelParams, apply, cfg: SimConfig, *,
+def _run(p: ModelParams, policy, cfg: SimConfig, *,
          keep_paths: bool = False, checkpoint_nodes=()) -> _EngineOut:
-    """Drive all paths through the Euler scheme in blocks."""
+    """Drive all paths through the Euler scheme in path blocks and time chunks.
+
+    policy is a PolicyCoefficients (folded tables, no call per step) or any
+    callable (x, i, t) -> u, called once per grid node with the array of
+    states, the matching array of 1-based regimes and the scalar time, and
+    returning something that broadcasts to the states' shape.
+    """
     if not p.r > 0:
         raise ValueError("r not positive")
     if not 1 <= cfg.i0 <= p.m:
         raise ValueError(f"i0 out of range: {cfg.i0}")
     n_paths = cfg.n_paths
     n = cfg.n_steps
-    times = cfg.times()
     dt = cfg.dt
-    disc = np.exp(-p.r * times)
     sqrt_dt = math.sqrt(dt)
-    theta, sigma = p.theta, p.sigma
-    cvec, hvec, nvec, rvec = p.c, p.h, p.N, p.R
-    rates, cums, targets = _jump_tables(p.gen)
+    r = float(p.r)
+    # Kept paths are few and written out digit for digit: they call the law at
+    # each step and sum the plain trapezoid, so the folded tables' rounding
+    # never reaches an artifact.
+    affine = isinstance(policy, PolicyCoefficients) and not keep_paths
+    if affine:
+        tables = _affine_tables(p, policy, dt)
+    else:
+        tables = np.array([p.N, p.c, p.R, p.h, p.theta, p.sigma])
     i0 = cfg.i0 - 1
-    horizon = float(times[-1])
     tail_from = (3 * n) // 4
     want = {int(k) for k in checkpoint_nodes}
     costs = np.empty(n_paths)
     snaps = {k: (np.empty(n_paths), np.empty(n_paths, dtype=np.int16)) for k in want}
-    big_x = big_u = big_cost = big_reg = None
+    tail_max = 0.0
+    width = min(_BLOCK, n_paths)
+    z_paths = np.empty((width, _CHUNK))
+    dw_time = np.empty((_CHUNK, width))
+    times = None
     if keep_paths:
+        times = cfg.times()
         big_x = np.empty((n_paths, n + 1))
         big_u = np.empty((n_paths, n + 1))
-        big_reg = np.empty((n_paths, n + 1), dtype=np.int16)
+        big_reg = np.empty((n_paths, n + 1), dtype=np.int64)
         big_cost = np.empty((n_paths, n + 1))
-    tail_max = 0.0
+        rec_x = np.empty((_CHUNK, width))
+        rec_u = np.empty((_CHUNK, width))
+        rec_reg = np.empty((_CHUNK, width), dtype=np.int16)
+        rec_cost = np.empty((_CHUNK, width))
     for lo in range(0, n_paths, _BLOCK):
         hi = min(lo + _BLOCK, n_paths)
         nb = hi - lo
-        reg = np.empty((nb, n + 1), dtype=np.int16)
-        dw = np.empty((nb, n))
-        for k in range(nb):
-            chain_rng = np.random.default_rng([cfg.seed, lo + k, 0])
-            jt, st = _walk(rates, cums, targets, i0, horizon, chain_rng)
-            reg[k] = regimes_on_grid(jt, st, times)
-            z = np.random.default_rng([cfg.seed, lo + k, 1]).standard_normal(n)
-            dw[k] = sqrt_dt * z
+        ev_node, ev_path, ev_state = _jump_events(p, cfg, lo, hi)
+        normals = [np.random.default_rng([cfg.seed, k, 1]) for k in range(lo, hi)]
+        reg = np.full(nb, i0, dtype=np.intp)
+        cur = np.repeat(tables[:, i0:i0 + 1], nb, axis=1)  # table rows per path
+        if affine:
+            a_, b_, sig, xstar, alpha, gamma = cur
+        else:
+            n_, c_, r_, h_, th_, sig = cur
         x = np.full(nb, float(cfg.x0))
         cost = np.zeros(nb)
-        g_prev = None
-        for node in range(n + 1):
-            idx = reg[:, node]
-            u = apply(x, idx, float(times[node]))
-            f = 0.5 * (nvec[idx] * (x - cvec[idx]) ** 2 + rvec[idx] * (u - hvec[idx]) ** 2)
-            g = disc[node] * f
-            if node:
-                cost += (0.5 * dt) * (g_prev + g)
-            g_prev = g
-            if node >= tail_from:
-                peak = float(f.max())
-                if peak > tail_max:
-                    tail_max = peak
-            if node in want:
-                xs, ids = snaps[node]
-                xs[lo:hi] = x
-                ids[lo:hi] = idx
+        tail = np.zeros(nb)
+        f = np.empty(nb)
+        tmp = np.empty(nb)
+        g = np.empty(nb)
+        g_prev = np.empty(nb)
+        for c0 in range(0, n + 1, _CHUNK):
+            c1 = min(c0 + _CHUNK, n + 1)
+            steps = min(c1, n) - c0
+            zp = z_paths[:nb, :steps]
+            for k, gen in enumerate(normals):
+                gen.standard_normal(out=zp[k])
+            dw = dw_time[:steps, :nb]
+            for j in range(0, nb, 64):  # tiled transpose, several times faster
+                np.multiply(zp[j:j + 64].T, sqrt_dt, out=dw[:, j:j + 64])
+            bounds = np.searchsorted(ev_node, np.arange(c0, c1 + 1)).tolist()
+            disc = np.exp(-r * (np.arange(c0, c1) * dt)).tolist()
+            for t in range(c1 - c0):
+                node = c0 + t
+                e0, e1 = bounds[t], bounds[t + 1]
+                if e0 < e1:
+                    cols, new = ev_path[e0:e1], ev_state[e0:e1]
+                    reg[cols] = new
+                    cur[:, cols] = tables[:, new]
+                if affine:
+                    np.subtract(x, xstar, out=f)
+                    np.multiply(f, f, out=f)
+                    np.multiply(f, alpha, out=f)
+                    np.add(f, gamma, out=f)
+                else:
+                    u = np.broadcast_to(
+                        np.asarray(policy(x, reg + 1, node * dt), dtype=float), x.shape)
+                    np.subtract(x, c_, out=f)
+                    np.multiply(f, f, out=f)
+                    np.multiply(f, n_, out=f)
+                    np.subtract(u, h_, out=tmp)
+                    np.multiply(tmp, tmp, out=tmp)
+                    np.multiply(tmp, r_, out=tmp)
+                    np.add(f, tmp, out=f)
+                    np.multiply(f, 0.5, out=f)
+                if node >= tail_from:
+                    np.maximum(tail, f, out=tail)
+                if node in want:
+                    xs, ids = snaps[node]
+                    xs[lo:hi] = x
+                    ids[lo:hi] = reg
+                if keep_paths:
+                    np.multiply(f, disc[t], out=g)
+                    if node:
+                        np.add(g_prev, g, out=tmp)
+                        np.multiply(tmp, 0.5 * dt, out=tmp)
+                        np.add(cost, tmp, out=cost)
+                    g, g_prev = g_prev, g
+                    rec_x[t, :nb] = x
+                    rec_u[t, :nb] = u
+                    rec_reg[t, :nb] = reg
+                    rec_cost[t, :nb] = cost
+                else:
+                    weight = dt * disc[t]  # trapezoid weight, halved at both ends
+                    if node == 0 or node == n:
+                        weight *= 0.5
+                    np.multiply(f, weight, out=tmp)
+                    np.add(cost, tmp, out=cost)
+                if node < n:
+                    if affine:
+                        np.multiply(x, a_, out=x)
+                        np.add(x, b_, out=x)
+                    else:
+                        x = x + (u - th_) * dt
+                    np.multiply(sig, dw[t], out=tmp)
+                    np.add(x, tmp, out=x)
             if keep_paths:
-                big_x[lo:hi, node] = x
-                big_u[lo:hi, node] = u
-                big_reg[lo:hi, node] = idx
-                big_cost[lo:hi, node] = cost
-            if node < n:
-                x = x + (u - theta[idx]) * dt + sigma[idx] * dw[:, node]
+                span, rows = slice(c0, c1), slice(0, c1 - c0)
+                big_x[lo:hi, span] = rec_x[rows, :nb].T
+                big_u[lo:hi, span] = rec_u[rows, :nb].T
+                big_reg[lo:hi, span] = rec_reg[rows, :nb].T
+                big_cost[lo:hi, span] = rec_cost[rows, :nb].T
         costs[lo:hi] = cost
+        tail_max = max(tail_max, float(tail.max()))
     paths = (times, big_x, big_u, big_reg, big_cost) if keep_paths else None
     return _EngineOut(costs=costs, tail_max=tail_max, snaps=snaps, paths=paths)
 
@@ -237,29 +356,32 @@ def simulate_controlled(p: ModelParams, sol: RiccatiSolution,
     regime i is phi(i)/R(i).  Deterministic per (cfg.seed, path index): path k
     here equals path k of any run sharing the seed with n_paths > k.
 
-    Retains every grid value of every path; for large-sample estimates use
-    mc_cost, which streams paths in blocks and keeps only reductions.
+    Retains every grid value of every path, and refuses with ValueError,
+    before allocating, a request that would retain more than _KEEP_BUDGET
+    bytes; for large-sample estimates use mc_cost, which streams paths and
+    keeps only reductions.
     """
-    out = _run(p, _apply_fn(p, sol), cfg, keep_paths=True)
+    kept = cfg.n_paths * (cfg.n_steps + 1) * _KEPT_PER_NODE
+    if kept > _KEEP_BUDGET:
+        raise ValueError(f"simulation would retain {kept / 2**30:.3g} GiB of paths, "
+                         f"over the {_KEEP_BUDGET / 2**30:g} GiB budget; "
+                         "use fewer paths, a shorter horizon or a larger dt")
+    out = _run(p, policy_coefficients(sol, p), cfg, keep_paths=True)
     times, xs, us, regs, cost = out.paths
-    t_shared = _ro(times.copy())
-    paths = []
-    for k in range(cfg.n_paths):
-        paths.append(ControlledPath(
-            times=t_shared,
-            x=_ro(xs[k].copy()),
-            u=_ro(us[k].copy()),
-            regime=_ro(regs[k].astype(np.int64) + 1),
-            disc_cost=_ro(cost[k].copy()),
-        ))
-    return paths
+    regs += 1  # 1-based labels
+    for a in out.paths:
+        _ro(a)
+    return [ControlledPath(times=times, x=xs[k], u=us[k], regime=regs[k],
+                           disc_cost=cost[k])
+            for k in range(cfg.n_paths)]
 
 
 def mc_cost(p: ModelParams, sol_or_policy, cfg: SimConfig) -> MCEstimate:
     """Mean and standard error of the discounted cost truncated at the horizon.
 
     sol_or_policy is either a RiccatiSolution (optimal feedback) or a callable
-    policy (x, i, t) -> u for domination experiments.  truncation_bound is
+    policy (x, i, t) -> u for domination experiments; a PolicyCoefficients
+    (such as shifted_policy returns) takes the folded affine fast path.  truncation_bound is
     e^{-rT} * C_tail / r with C_tail the largest undiscounted integrand value
     observed over the final quarter of the horizon across all paths: a crude
     plug-in estimate of the post-T conditional expectation supremum, reported
@@ -268,7 +390,10 @@ def mc_cost(p: ModelParams, sol_or_policy, cfg: SimConfig) -> MCEstimate:
     """
     if cfg.n_paths < 2:
         raise ValueError("mc_cost needs n_paths >= 2")
-    out = _run(p, _apply_fn(p, sol_or_policy), cfg)
+    policy = sol_or_policy
+    if not callable(policy):
+        policy = policy_coefficients(policy, p)
+    out = _run(p, policy, cfg)
     mean = float(np.mean(out.costs))
     se = float(np.std(out.costs, ddof=1) / math.sqrt(cfg.n_paths))
     t_end = cfg.n_steps * cfg.dt
@@ -301,7 +426,7 @@ def asymptotic_decay(p: ModelParams, sol: RiccatiSolution, cfg: SimConfig,
         nodes.append(k)
     if len(set(nodes)) != len(nodes):
         raise ValueError("checkpoints collide on the grid")
-    out = _run(p, _apply_fn(p, sol), cfg, checkpoint_nodes=nodes)
+    out = _run(p, policy_coefficients(sol, p), cfg, checkpoint_nodes=nodes)
     result = []
     for t, k in zip(cps, nodes):
         xs, ids = out.snaps[k]
@@ -347,22 +472,16 @@ def adjoint_residual(p: ModelParams, sol: RiccatiSolution, samples) -> float:
     return float(np.max(np.abs(res)))
 
 
-def shifted_policy(sol: RiccatiSolution, p: ModelParams, delta: float):
-    """The feedback law plus a constant offset, as a policy callable.
+def shifted_policy(sol: RiccatiSolution, p: ModelParams,
+                   delta: float) -> PolicyCoefficients:
+    """The feedback law plus a constant offset, as an affine policy.
 
     Useful for cost-domination experiments: any nonzero delta is strictly
     suboptimal, with cost excess of order delta^2 at first order.
     """
     coeffs = policy_coefficients(sol, p)
-    slope = coeffs.slope
-    intercept = coeffs.intercept
-    d = float(delta)
-
-    def policy(x, i, t):
-        idx = np.asarray(i, dtype=np.int64) - 1
-        return slope[idx] * np.asarray(x, dtype=float) + intercept[idx] + d
-
-    return policy
+    return PolicyCoefficients(slope=coeffs.slope,
+                              intercept=_ro(coeffs.intercept + float(delta)))
 
 
 def write_path_csv(cp: ControlledPath, fp) -> None:

@@ -145,3 +145,5 @@ def test_functional_mc_validation():
         discounted_functional_mc(gen, 0.1, [1.0, 1.0], 1, 10.0, 0, seed=0)
     with pytest.raises(ValueError, match="horizon"):
         discounted_functional_mc(gen, 0.1, [1.0, 1.0], 1, 0.0, 4, seed=0)
+    with pytest.raises(ValueError, match="g must have length m=2"):
+        discounted_functional_mc(gen, 0.1, [1.0, 1.0, 1.0], 1, 10.0, 4, seed=0)

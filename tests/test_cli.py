@@ -177,6 +177,13 @@ def test_simulate_deterministic_across_runs(tmp_path):
     assert a != c
 
 
+def test_simulate_refuses_oversized_request(tmp_path, capsys):
+    # 10^9 steps per path: refused by the memory budget before any allocation
+    assert run(["simulate", "--dt", "1e-4", "--horizon", "1e5", "--out", str(tmp_path),
+                "--label", "big"]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
 def test_simulate_zero_sigma_config(tmp_path):
     cfg = write_config(tmp_path, sigma=[0.0, 0.0])
     assert run(["simulate", "--config", cfg, "--paths", "1", "--horizon", "2",
@@ -248,6 +255,17 @@ def test_reproduce_rejects_incomplete_expectations(tmp_path, capsys):
     assert "tolerance" in err and "benchmark.phi" in err and "table" in err
     # rejected before any artifact is written
     assert [f.name for f in (tmp_path / "reproduce" / "empty").iterdir()] == ["manifest.json"]
+
+
+def test_reproduce_rejects_malformed_table_entry(tmp_path, capsys):
+    broken = expected_values()
+    broken["table"] = [{}]
+    fn = tmp_path / "expected.json"
+    fn.write_text(json.dumps(broken), encoding="utf-8")
+    assert run(["reproduce", "--expected", str(fn), "--out", str(tmp_path),
+                "--label", "bad"]) == 2
+    assert "table[0]" in capsys.readouterr().err
+    assert [f.name for f in (tmp_path / "reproduce" / "bad").iterdir()] == ["manifest.json"]
 
 
 def test_reproduce_rejects_config(tmp_path, capsys):

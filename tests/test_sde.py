@@ -10,6 +10,7 @@ from regimeplan import (
     Generator,
     MCEstimate,
     ModelParams,
+    PolicyCoefficients,
     SimConfig,
     adjoint_residual,
     asymptotic_decay,
@@ -20,6 +21,7 @@ from regimeplan import (
     solve,
     value_function,
 )
+from regimeplan import sde
 from regimeplan.riccati import RiccatiSolution
 from regimeplan.sde import write_mc_summary_csv, write_path_csv
 
@@ -95,10 +97,12 @@ def test_zero_weights_zero_cost():
                     theta=[4.0, 2.5], sigma=[0.6, 0.8], c=[3.0, 1.5],
                     h=[5.0, 4.0], N=[0.0, 0.0], R=[0.0, 0.0])
     cfg = SimConfig(dt=0.05, horizon=5.0, n_paths=4, seed=3, x0=0.0, i0=1)
-    est = mc_cost(p, lambda x, i, t: np.zeros_like(x), cfg)
-    assert est.mean == 0.0
-    assert est.std_error == 0.0
-    assert est.truncation_bound == 0.0
+    zero = np.zeros(2)
+    for policy in (lambda x, i, t: np.zeros_like(x), PolicyCoefficients(zero, zero)):
+        est = mc_cost(p, policy, cfg)
+        assert est.mean == 0.0
+        assert est.std_error == 0.0
+        assert est.truncation_bound == 0.0
 
 
 def test_bitwise_determinism(p_bench, sol_bench):
@@ -123,6 +127,43 @@ def test_path_k_independent_of_batch_size(p_bench, sol_bench):
         assert np.array_equal(a[k].regime, b[k].regime)
 
 
+def test_block_and_chunk_invariance(p_bench, sol_bench, monkeypatch):
+    # 401 grid nodes: not a multiple of the patched chunk of 7
+    cfg = SimConfig(dt=0.05, horizon=20.0, n_paths=10, seed=5, x0=1.0, i0=2)
+    est = mc_cost(p_bench, sol_bench, cfg)
+    paths = simulate_controlled(p_bench, sol_bench, cfg)
+    monkeypatch.setattr(sde, "_BLOCK", 3)
+    monkeypatch.setattr(sde, "_CHUNK", 7)
+    assert mc_cost(p_bench, sol_bench, cfg) == est
+    for a, b in zip(paths, simulate_controlled(p_bench, sol_bench, cfg)):
+        for name in ("x", "u", "regime", "disc_cost"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_shifted_policy_fast_path_matches_callable(p_bench, sol_bench):
+    cfg = SimConfig(dt=0.05, horizon=20.0, n_paths=50, seed=8, x0=0.0, i0=1)
+    shifted = shifted_policy(sol_bench, p_bench, 0.5)
+    coeffs = policy_coefficients(sol_bench, p_bench)
+
+    def plain(x, i, t):
+        idx = np.asarray(i) - 1
+        return coeffs.slope[idx] * x + coeffs.intercept[idx] + 0.5
+
+    xs, regs = np.linspace(-3.0, 3.0, 4), np.array([1, 2, 2, 1])
+    np.testing.assert_allclose(shifted(xs, regs, 0.0), plain(xs, regs, 0.0), rtol=1e-14)
+    a = mc_cost(p_bench, shifted, cfg)
+    b = mc_cost(p_bench, plain, cfg)
+    assert a.mean == pytest.approx(b.mean, rel=1e-12)
+    assert a.std_error == pytest.approx(b.std_error, rel=1e-12)
+    assert a.truncation_bound == pytest.approx(b.truncation_bound, rel=1e-12)
+
+
+def test_simulate_refuses_retention_over_budget(p_bench, sol_bench):
+    cfg = SimConfig(dt=1e-4, horizon=1e5, n_paths=1, seed=0, x0=0.0, i0=1)
+    with pytest.raises(ValueError, match="budget"):
+        simulate_controlled(p_bench, sol_bench, cfg)
+
+
 def test_path_invariants(p_bench, sol_bench):
     cfg = SimConfig(dt=0.02, horizon=20.0, n_paths=2, seed=5, x0=1.0, i0=2)
     coeffs = policy_coefficients(sol_bench, p_bench)
@@ -141,6 +182,13 @@ def test_mc_needs_two_paths(p_bench, sol_bench):
     cfg = SimConfig(dt=0.1, horizon=1.0, n_paths=1, seed=0, x0=0.0, i0=1)
     with pytest.raises(ValueError, match="n_paths >= 2"):
         mc_cost(p_bench, sol_bench, cfg)
+
+
+def test_mc_rejects_coefficients_of_wrong_length(p_bench):
+    cfg = SimConfig(dt=0.1, horizon=1.0, n_paths=2, seed=0, x0=0.0, i0=1)
+    three = np.zeros(3)
+    with pytest.raises(ValueError, match="length m=2"):
+        mc_cost(p_bench, PolicyCoefficients(three, three), cfg)
 
 
 def test_mc_matches_analytic_value(p_bench, sol_bench):
