@@ -13,7 +13,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -480,6 +480,13 @@ def cmd_reproduce(args, out_dir: Path) -> int:
         raise CliError(EXIT_CONFIG,
                        "reproduce uses the built-in benchmark configuration")
     expected, tol = _read_expected(args.expected)
+    try:
+        sim_cfg = SimConfig(dt=0.01, horizon=10.0, n_paths=1, seed=args.seed,
+                            x0=0.0, i0=1)
+        mc_cfg = replace(sim_cfg, dt=0.02, horizon=150.0, n_paths=4000)
+        mc_cfg2 = replace(mc_cfg, dt=0.04)
+    except ValueError as exc:
+        raise CliError(EXIT_CONFIG, str(exc))
 
     p, sol, coeffs = benchmark_solution()
     _write_solution_set(out_dir, sol, coeffs)
@@ -504,8 +511,6 @@ def cmd_reproduce(args, out_dir: Path) -> int:
                       title=f"value functions for swept {param}",
                       ylabel="v(x, i)")
 
-    sim_cfg = SimConfig(dt=0.01, horizon=10.0, n_paths=1, seed=args.seed,
-                        x0=0.0, i0=1)
     (path,) = simulate_controlled(p, sol, sim_cfg)
     with open(out_dir / "simulation.csv", "w", newline="") as fh:
         write_path_csv(path, fh)
@@ -517,11 +522,7 @@ def cmd_reproduce(args, out_dir: Path) -> int:
 
     # statistical cross-check of the analytic value; informational only
     v0 = float(value_function(0.0, 1, sol, p))
-    mc_cfg = SimConfig(dt=0.02, horizon=150.0, n_paths=4000, seed=args.seed,
-                       x0=0.0, i0=1)
     est = mc_cost(p, sol, mc_cfg)
-    mc_cfg2 = SimConfig(dt=0.04, horizon=150.0, n_paths=4000, seed=args.seed,
-                        x0=0.0, i0=1)
     est2 = mc_cost(p, sol, mc_cfg2)
     bias = abs(est2.mean - est.mean)
     allowance = 3.0 * est.std_error + est.truncation_bound + bias

@@ -17,7 +17,6 @@ where w is the discounted regime functional of
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,6 @@ __all__ = [
     "value_constant",
     "value_function",
     "value_report",
-    "write_value_table_csv",
     "default_grid",
 ]
 
@@ -139,14 +137,3 @@ def value_report(sol: RiccatiSolution, p: ModelParams, grid=None) -> ValueReport
         arr.setflags(write=False)
     return ValueReport(quad=0.5 * sol.phi, lin=sol.psi, const=w,
                        grid=grid, table=table)
-
-
-def write_value_table_csv(report: ValueReport, fp) -> None:
-    """Serialize the value table with columns x, v_regime_1, ..., v_regime_m."""
-    m = report.table.shape[1]
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["x"] + [f"v_regime_{i + 1}" for i in range(m)])
-    for k in range(len(report.grid)):
-        row = [format(float(report.grid[k]), ".12g")]
-        row += [format(float(report.table[k, i]), ".12g") for i in range(m)]
-        writer.writerow(row)

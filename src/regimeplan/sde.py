@@ -17,26 +17,27 @@ estimates the trapezoid and the discount are folded into node weights
 dt e^{-r t_k}, halved at both ends.
 
 Affine laws u = s_i x + k_i (PolicyCoefficients, which the optimal feedback
-and shifted_policy are) are folded into per-regime tables for estimates:
-the step is x <- A_i x + B_i + sigma_i dW and the integrand
-alpha_i (x - xstar_i)^2 + gamma_i with alpha_i, gamma_i >= 0, so no policy is
-called per step.  Any other callable policy, and every law whose paths are
-kept (simulate_controlled), is evaluated at every grid node with the plain
-Euler and trapezoid arithmetic.  Each path keeps its current table entries
-and changes them only at its regime jumps, so there is no per-step regime
-lookup either.
+and shifted_policy are) are folded into per-regime tables: the step is
+x <- A_i x + B_i + sigma_i dW and the integrand alpha_i (x - xstar_i)^2 +
+gamma_i with alpha_i, gamma_i >= 0, so no policy is called per step.  Any
+other callable policy is evaluated at every grid node with the plain Euler
+arithmetic.  Each path keeps its current table entries and changes them only
+at its regime jumps, so there is no per-step regime lookup either.
 
 Every path owns fixed random streams keyed by (seed, path index), with the
 regime path drawn from one substream and the normals from another.  Paths
 run in blocks of _BLOCK and time in chunks of _CHUNK grid nodes: a block's
 jump times become events at the first grid node at or after each jump, and
 its normals are drawn _CHUNK at a time per path (equal, bit for bit, to one
-full draw) and turned time-major.  mc_cost's memory therefore does not grow
-with the horizon, and grows with the path count by one float per path; only
-simulate_controlled keeps whole paths.  Every per-path operation is
-elementwise and runs in grid order, and all reductions run over arrays in
-global path order, so a given SimConfig produces bit-identical results
-whatever the block and chunk sizes.
+full draw) and turned time-major.  The engine keeps per-path reductions and,
+at the grid nodes a caller lists, every path's state and regime:
+asymptotic_decay lists its checkpoints, and simulate_controlled lists every
+node and derives u and the running cost afterwards, so kept paths take the
+same folded step as the estimates.  mc_cost's memory does not grow with the
+horizon, and grows with the path count by one float per path.  Every
+per-path operation is elementwise and runs in grid order, and all reductions
+run over arrays in global path order, so a given SimConfig produces
+bit-identical results whatever the block and chunk sizes.
 """
 
 import csv
@@ -81,12 +82,16 @@ class SimConfig:
     i0: int
 
     def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.horizon >= self.dt:
-            raise ValueError("horizon must be at least dt")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError("dt must be positive and finite")
+        if not (self.horizon >= self.dt and math.isfinite(self.horizon)):
+            raise ValueError("horizon must be finite and at least dt")
+        if not math.isfinite(self.x0):
+            raise ValueError("x0 must be finite")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.i0 < 1:
             raise ValueError("i0 must be a 1-based regime index")
 
@@ -202,18 +207,19 @@ def _jump_events(p: ModelParams, cfg: SimConfig, lo: int, hi: int):
 class _EngineOut:
     costs: np.ndarray          # per-path truncated discounted cost, global order
     tail_max: float            # max undiscounted integrand over the last quarter
-    snaps: dict                # node -> (x values, 0-based regimes) per path
-    paths: tuple | None        # (times, X, U, REG, COST) matrices if kept
+    x: np.ndarray              # (len(record), n_paths) states at the recorded nodes
+    regime: np.ndarray         # (len(record), n_paths) 0-based regimes there
 
 
-def _run(p: ModelParams, policy, cfg: SimConfig, *,
-         keep_paths: bool = False, checkpoint_nodes=()) -> _EngineOut:
+def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
     """Drive all paths through the Euler scheme in path blocks and time chunks.
 
     policy is a PolicyCoefficients (folded tables, no call per step) or any
     callable (x, i, t) -> u, called once per grid node with the array of
     states, the matching array of 1-based regimes and the scalar time, and
-    returning something that broadcasts to the states' shape.
+    returning something that broadcasts to the states' shape.  At the j-th
+    grid node listed in record (distinct nodes) every path's state and
+    0-based regime are written to row j of the two time-major matrices.
     """
     if not p.r > 0:
         raise ValueError("r not positive")
@@ -224,34 +230,21 @@ def _run(p: ModelParams, policy, cfg: SimConfig, *,
     dt = cfg.dt
     sqrt_dt = math.sqrt(dt)
     r = float(p.r)
-    # Kept paths are few and written out digit for digit: they call the law at
-    # each step and sum the plain trapezoid, so the folded tables' rounding
-    # never reaches an artifact.
-    affine = isinstance(policy, PolicyCoefficients) and not keep_paths
+    affine = isinstance(policy, PolicyCoefficients)
     if affine:
         tables = _affine_tables(p, policy, dt)
     else:
         tables = np.array([p.N, p.c, p.R, p.h, p.theta, p.sigma])
     i0 = cfg.i0 - 1
     tail_from = (3 * n) // 4
-    want = {int(k) for k in checkpoint_nodes}
+    rows = {int(k): j for j, k in enumerate(record)}
+    rec_x = np.empty((len(rows), n_paths))
+    rec_reg = np.empty((len(rows), n_paths), dtype=np.int64)
     costs = np.empty(n_paths)
-    snaps = {k: (np.empty(n_paths), np.empty(n_paths, dtype=np.int16)) for k in want}
     tail_max = 0.0
     width = min(_BLOCK, n_paths)
     z_paths = np.empty((width, _CHUNK))
     dw_time = np.empty((_CHUNK, width))
-    times = None
-    if keep_paths:
-        times = cfg.times()
-        big_x = np.empty((n_paths, n + 1))
-        big_u = np.empty((n_paths, n + 1))
-        big_reg = np.empty((n_paths, n + 1), dtype=np.int64)
-        big_cost = np.empty((n_paths, n + 1))
-        rec_x = np.empty((_CHUNK, width))
-        rec_u = np.empty((_CHUNK, width))
-        rec_reg = np.empty((_CHUNK, width), dtype=np.int16)
-        rec_cost = np.empty((_CHUNK, width))
     for lo in range(0, n_paths, _BLOCK):
         hi = min(lo + _BLOCK, n_paths)
         nb = hi - lo
@@ -268,8 +261,6 @@ def _run(p: ModelParams, policy, cfg: SimConfig, *,
         tail = np.zeros(nb)
         f = np.empty(nb)
         tmp = np.empty(nb)
-        g = np.empty(nb)
-        g_prev = np.empty(nb)
         for c0 in range(0, n + 1, _CHUNK):
             c1 = min(c0 + _CHUNK, n + 1)
             steps = min(c1, n) - c0
@@ -306,27 +297,15 @@ def _run(p: ModelParams, policy, cfg: SimConfig, *,
                     np.multiply(f, 0.5, out=f)
                 if node >= tail_from:
                     np.maximum(tail, f, out=tail)
-                if node in want:
-                    xs, ids = snaps[node]
-                    xs[lo:hi] = x
-                    ids[lo:hi] = reg
-                if keep_paths:
-                    np.multiply(f, disc[t], out=g)
-                    if node:
-                        np.add(g_prev, g, out=tmp)
-                        np.multiply(tmp, 0.5 * dt, out=tmp)
-                        np.add(cost, tmp, out=cost)
-                    g, g_prev = g_prev, g
-                    rec_x[t, :nb] = x
-                    rec_u[t, :nb] = u
-                    rec_reg[t, :nb] = reg
-                    rec_cost[t, :nb] = cost
-                else:
-                    weight = dt * disc[t]  # trapezoid weight, halved at both ends
-                    if node == 0 or node == n:
-                        weight *= 0.5
-                    np.multiply(f, weight, out=tmp)
-                    np.add(cost, tmp, out=cost)
+                j = rows.get(node)
+                if j is not None:
+                    rec_x[j, lo:hi] = x
+                    rec_reg[j, lo:hi] = reg
+                weight = dt * disc[t]  # trapezoid weight, halved at both ends
+                if node == 0 or node == n:
+                    weight *= 0.5
+                np.multiply(f, weight, out=tmp)
+                np.add(cost, tmp, out=cost)
                 if node < n:
                     if affine:
                         np.multiply(x, a_, out=x)
@@ -335,26 +314,23 @@ def _run(p: ModelParams, policy, cfg: SimConfig, *,
                         x = x + (u - th_) * dt
                     np.multiply(sig, dw[t], out=tmp)
                     np.add(x, tmp, out=x)
-            if keep_paths:
-                span, rows = slice(c0, c1), slice(0, c1 - c0)
-                big_x[lo:hi, span] = rec_x[rows, :nb].T
-                big_u[lo:hi, span] = rec_u[rows, :nb].T
-                big_reg[lo:hi, span] = rec_reg[rows, :nb].T
-                big_cost[lo:hi, span] = rec_cost[rows, :nb].T
         costs[lo:hi] = cost
         tail_max = max(tail_max, float(tail.max()))
-    paths = (times, big_x, big_u, big_reg, big_cost) if keep_paths else None
-    return _EngineOut(costs=costs, tail_max=tail_max, snaps=snaps, paths=paths)
+    return _EngineOut(costs=costs, tail_max=tail_max, x=rec_x, regime=rec_reg)
 
 
 def simulate_controlled(p: ModelParams, sol: RiccatiSolution,
                         cfg: SimConfig) -> list:
     """Simulate cfg.n_paths closed-loop trajectories, one ControlledPath each.
 
-    The drift applies the feedback law exactly as feedback_control prescribes,
-    u*(x, i) = -(phi(i) x + psi(i))/R(i) + h(i), so the mean-reversion rate in
-    regime i is phi(i)/R(i).  Deterministic per (cfg.seed, path index): path k
-    here equals path k of any run sharing the seed with n_paths > k.
+    The paths take the optimal law u*(x, i) = -(phi(i) x + psi(i))/R(i) + h(i)
+    through mc_cost's folded step, so the mean-reversion rate in regime i is
+    phi(i)/R(i); the engine records every state and regime, and u and the
+    running cost are derived afterwards, the cost as the sequential sum of
+    1/2 dt (g_{k-1} + g_k) with g = f e^{-r t}.  Deterministic per (cfg.seed,
+    path index): path k here equals path k of any run sharing the seed with
+    n_paths > k.  The paths are read-only columns of four (node x path)
+    matrices.
 
     Retains every grid value of every path, and refuses with ValueError,
     before allocating, a request that would retain more than _KEEP_BUDGET
@@ -366,13 +342,35 @@ def simulate_controlled(p: ModelParams, sol: RiccatiSolution,
         raise ValueError(f"simulation would retain {kept / 2**30:.3g} GiB of paths, "
                          f"over the {_KEEP_BUDGET / 2**30:g} GiB budget; "
                          "use fewer paths, a shorter horizon or a larger dt")
-    out = _run(p, policy_coefficients(sol, p), cfg, keep_paths=True)
-    times, xs, us, regs, cost = out.paths
-    regs += 1  # 1-based labels
-    for a in out.paths:
+    coeffs = policy_coefficients(sol, p)
+    n = cfg.n_steps
+    out = _run(p, coeffs, cfg, record=range(n + 1))
+    xs, regs = out.x, out.regime
+    us = np.empty_like(xs)
+    cost = np.empty_like(xs)
+    times = cfg.times()
+    disc = np.exp(-float(p.r) * times)
+    half_dt = 0.5 * cfg.dt
+    # tiles of _CHUNK nodes by _BLOCK paths bound the temporaries
+    for lo in range(0, cfg.n_paths, _BLOCK):
+        cols = slice(lo, lo + _BLOCK)
+        for c0 in range(0, n + 1, _CHUNK):
+            span = slice(c0, c0 + _CHUNK)
+            x, i = xs[span, cols], regs[span, cols]
+            u = us[span, cols]
+            u[...] = coeffs.slope[i] * x + coeffs.intercept[i]
+            g = 0.5 * (p.N[i] * (x - p.c[i]) ** 2 + p.R[i] * (u - p.h[i]) ** 2)
+            g *= disc[span, None]
+            acc = cost[span, cols]
+            acc[0] = (g_last + g[0]) * half_dt + cost[c0 - 1, cols] if c0 else 0.0
+            np.multiply(g[:-1] + g[1:], half_dt, out=acc[1:])
+            np.cumsum(acc, axis=0, out=acc)
+            g_last = g[-1]
+    regs += 1  # 1-based labels, in place
+    for a in (times, xs, us, regs, cost):
         _ro(a)
-    return [ControlledPath(times=times, x=xs[k], u=us[k], regime=regs[k],
-                           disc_cost=cost[k])
+    return [ControlledPath(times=times, x=xs[:, k], u=us[:, k], regime=regs[:, k],
+                           disc_cost=cost[:, k])
             for k in range(cfg.n_paths)]
 
 
@@ -426,10 +424,9 @@ def asymptotic_decay(p: ModelParams, sol: RiccatiSolution, cfg: SimConfig,
         nodes.append(k)
     if len(set(nodes)) != len(nodes):
         raise ValueError("checkpoints collide on the grid")
-    out = _run(p, policy_coefficients(sol, p), cfg, checkpoint_nodes=nodes)
+    out = _run(p, policy_coefficients(sol, p), cfg, record=nodes)
     result = []
-    for t, k in zip(cps, nodes):
-        xs, ids = out.snaps[k]
+    for t, k, xs, ids in zip(cps, nodes, out.x, out.regime):
         if adjoint:
             vals = (sol.phi[ids] * xs + sol.psi[ids]) ** 2
         else:

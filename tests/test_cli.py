@@ -141,6 +141,7 @@ def test_value_grid(tmp_path, capsys):
                 "--label", "v"]) == 0
     rows = read_csv(tmp_path / "value" / "v" / "value.csv")
     assert len(rows) == 5
+    assert list(rows[0]) == ["x", "v_regime_1", "v_regime_2"]
     assert [row["x"] for row in rows] == ["-2", "-1", "0", "1", "2"]
     assert float(rows[2]["v_regime_1"]) == pytest.approx(10.83452872, abs=1e-6)
     assert "v(x, 1)" in capsys.readouterr().out
@@ -182,6 +183,13 @@ def test_simulate_refuses_oversized_request(tmp_path, capsys):
     assert run(["simulate", "--dt", "1e-4", "--horizon", "1e5", "--out", str(tmp_path),
                 "--label", "big"]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_simulate_rejects_non_finite_input(tmp_path, capsys):
+    for k, args in enumerate((["--x0", "nan"], ["--x0", "inf"], ["--horizon", "inf"])):
+        assert run(["simulate", *args, "--out", str(tmp_path), "--label", str(k)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert [f.name for f in (tmp_path / "simulate" / str(k)).iterdir()] == ["manifest.json"]
 
 
 def test_simulate_zero_sigma_config(tmp_path):
@@ -266,6 +274,12 @@ def test_reproduce_rejects_malformed_table_entry(tmp_path, capsys):
                 "--label", "bad"]) == 2
     assert "table[0]" in capsys.readouterr().err
     assert [f.name for f in (tmp_path / "reproduce" / "bad").iterdir()] == ["manifest.json"]
+
+
+def test_reproduce_rejects_negative_seed(tmp_path, capsys):
+    assert run(["reproduce", "--seed", "-1", "--out", str(tmp_path), "--label", "neg"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert [f.name for f in (tmp_path / "reproduce" / "neg").iterdir()] == ["manifest.json"]
 
 
 def test_reproduce_rejects_config(tmp_path, capsys):

@@ -1,7 +1,5 @@
 """Hamiltonian structure, feedback law, and the analytic value function."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from regimeplan import (
     value_function,
     value_report,
 )
-from regimeplan.policy import write_value_table_csv
 
 SLOPE_BENCH = np.array([-0.81666297, -0.90554315])
 INTERCEPT_BENCH = np.array([6.09783353, 4.58243521])
@@ -111,15 +108,3 @@ def test_value_curvature(p_bench, sol_bench):
 def test_default_grid_override():
     g = default_grid(-2.0, 2.0, 5)
     assert np.array_equal(g, [-2.0, -1.0, 0.0, 1.0, 2.0])
-
-
-def test_value_table_csv(p_bench, sol_bench):
-    rep = value_report(sol_bench, p_bench, grid=np.linspace(-1.0, 1.0, 3))
-    buf = io.StringIO()
-    write_value_table_csv(rep, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "x,v_regime_1,v_regime_2"
-    assert len(lines) == 4
-    mid = lines[2].split(",")
-    assert float(mid[0]) == 0.0
-    assert float(mid[1]) == pytest.approx(W_BENCH[0], abs=1e-6)

@@ -46,6 +46,16 @@ def test_simconfig_validation():
         SimConfig(dt=0.1, horizon=1.0, n_paths=0, seed=0, x0=0.0, i0=1)
     with pytest.raises(ValueError, match="i0"):
         SimConfig(dt=0.1, horizon=1.0, n_paths=1, seed=0, x0=0.0, i0=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt"):
+            SimConfig(dt=bad, horizon=1.0, n_paths=1, seed=0, x0=0.0, i0=1)
+        with pytest.raises(ValueError, match="horizon"):
+            SimConfig(dt=0.1, horizon=bad, n_paths=1, seed=0, x0=0.0, i0=1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="x0"):
+            SimConfig(dt=0.1, horizon=1.0, n_paths=1, seed=0, x0=bad, i0=1)
+    with pytest.raises(ValueError, match="seed"):
+        SimConfig(dt=0.1, horizon=1.0, n_paths=1, seed=-1, x0=0.0, i0=1)
 
 
 def test_simconfig_grid():
@@ -138,6 +148,17 @@ def test_block_and_chunk_invariance(p_bench, sol_bench, monkeypatch):
     for a, b in zip(paths, simulate_controlled(p_bench, sol_bench, cfg)):
         for name in ("x", "u", "regime", "disc_cost"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_kept_paths_share_estimate_arithmetic(p_bench, sol_bench):
+    # simulate_controlled records the states the estimators integrate
+    cfg = SimConfig(dt=0.05, horizon=20.0, n_paths=50, seed=8, x0=1.0, i0=1)
+    paths = simulate_controlled(p_bench, sol_bench, cfg)
+    x_end = np.array([cp.x[-1] for cp in paths])
+    ((_, decay, _),) = asymptotic_decay(p_bench, sol_bench, cfg, (cfg.horizon,))
+    assert math.exp(-p_bench.r * cfg.n_steps * cfg.dt) * float(np.mean(x_end ** 2)) == decay
+    kept_cost = float(np.mean([cp.disc_cost[-1] for cp in paths]))
+    assert kept_cost == pytest.approx(mc_cost(p_bench, sol_bench, cfg).mean, rel=1e-12)
 
 
 def test_shifted_policy_fast_path_matches_callable(p_bench, sol_bench):
