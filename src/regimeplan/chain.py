@@ -75,7 +75,7 @@ def _jump_tables(gen: Generator):
     return rates, cums, targets
 
 
-def _walk(rates, cums, targets, i0, horizon, rng, counts=None):
+def _walk(rates, cums, targets, i0, horizon, rng):
     """Jump-chain walk from 0-based state i0; returns (jump_times, states) lists.
 
     Draws come in geometrically growing chunks from `rng` so that long paths
@@ -109,8 +109,6 @@ def _walk(rates, cums, targets, i0, horizon, rng, counts=None):
         while u > cu[j]:
             j += 1
         nxt = targets[s][j]
-        if counts is not None:
-            counts[s][nxt] += 1
         jt.append(t)
         st.append(nxt)
         s = nxt
@@ -128,12 +126,14 @@ def simulate_chain(gen: Generator, i0: int, horizon: float, seed: int) -> Regime
         raise ValueError("horizon must be positive")
     rng = np.random.default_rng(seed)
     rates, cums, targets = _jump_tables(gen)
-    counts = [[0] * gen.m for _ in range(gen.m)]
-    jt, st = _walk(rates, cums, targets, i0 - 1, horizon, rng, counts)
+    jt, st = _walk(rates, cums, targets, i0 - 1, horizon, rng)
+    st = np.asarray(st, dtype=np.int64)
+    counts = np.zeros((gen.m, gen.m), dtype=np.int64)
+    np.add.at(counts, (st[:-1], st[1:]), 1)
     return RegimePath(
         jump_times=np.asarray(jt, dtype=float),
-        states=np.asarray(st, dtype=np.int64) + 1,
-        jump_counts=np.asarray(counts, dtype=np.int64),
+        states=st + 1,
+        jump_counts=counts,
         horizon=float(horizon),
     )
 
@@ -189,4 +189,3 @@ def discounted_functional_mc(gen: Generator, r: float, g, i0: int,
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
     return mean, se
-

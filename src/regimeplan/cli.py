@@ -39,16 +39,8 @@ from .reference import (
     sweep_params,
     sweep_value_label,
 )
-from .riccati import NonConvergence, solve, write_solution_csv
-from .sde import (
-    MCEstimate,
-    SimConfig,
-    adjoint_residual,
-    mc_cost,
-    simulate_controlled,
-    write_mc_summary_csv,
-    write_path_csv,
-)
+from .riccati import NonConvergence, solve
+from .sde import SimConfig, adjoint_residual, mc_cost, simulate_controlled
 
 DEFAULT_SEED = 12345
 _MAX_PATH_FILES = 8
@@ -128,6 +120,8 @@ def _parse_sweep_values(param: str, text):
                 values.append(tuple(float(v) for v in token.split(":")))
         except ValueError:
             raise CliError(EXIT_CONFIG, f"invalid sweep value: {token!r}")
+        if not np.all(np.isfinite(values[-1])):
+            raise CliError(EXIT_CONFIG, f"sweep value not finite: {token!r}")
     if not values:
         raise CliError(EXIT_CONFIG, "no sweep values given")
     return values
@@ -141,7 +135,7 @@ def _parse_grid(text):
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError:
         raise CliError(EXIT_CONFIG, f"invalid grid spec: {text!r} (want lo:hi:points)")
-    if not (hi > lo and n >= 2):
+    if not (hi > lo and np.isfinite(hi - lo) and n >= 2):
         raise CliError(EXIT_CONFIG, f"invalid grid spec: {text!r}")
     return default_grid(lo, hi, n)
 
@@ -175,8 +169,11 @@ def _regime_spans(times, regime):
 
 def _write_solution_set(out_dir: Path, sol, coeffs) -> None:
     """solution.csv, certificate.csv and feedback.csv of one solve."""
-    with open(out_dir / "solution.csv", "w", newline="") as fh:
-        write_solution_csv(sol, fh)
+    _write_csv(out_dir / "solution.csv",
+               ["regime", "phi", "psi", "residual_phi", "residual_psi"],
+               [[i + 1, _g(phi), _g(psi), format(res_phi, ".3e"), format(res_psi, ".3e")]
+                for i, (phi, psi, res_phi, res_psi)
+                in enumerate(zip(sol.phi, sol.psi, sol.residual_phi, sol.residual_psi))])
     _write_csv(out_dir / "certificate.csv", ["regime", "dominance_margin"],
                [[i + 1, _g(margin)]
                 for i, margin in enumerate(sol.certificate.margins())])
@@ -209,6 +206,26 @@ def _write_curves(csv_path: Path, svg_path: Path, grid, curves, title: str,
     _write_text(svg_path, line_plot(
         [(label, grid, values) for _, label, values in curves],
         title=title, xlabel="x", ylabel=ylabel))
+
+
+def _write_path(path, csv_path: Path, svg_path=None, title: str = "") -> None:
+    """A kept path's rows and, given svg_path, its x/u plot with regime bands."""
+    _write_csv(csv_path, ["t", "x", "u", "regime", "disc_cost"],
+               [[_g(t), _g(x), _g(u), int(i), _g(cost)] for t, x, u, i, cost
+                in zip(path.times, path.x, path.u, path.regime, path.disc_cost)])
+    if svg_path is not None:
+        _write_text(svg_path, line_plot(
+            [("x_t", path.times, path.x), ("u_t", path.times, path.u)],
+            title=title, xlabel="t", ylabel="level",
+            spans=_regime_spans(path.times, path.regime)))
+
+
+def _write_mc_summary(path: Path, estimates, v0: float, n: int) -> None:
+    """Labelled MC estimates, then the analytic value v0 they estimate."""
+    _write_csv(path, ["quantity", "mean", "std_error", "n", "truncation_bound"],
+               [[name, _g(est.mean), _g(est.std_error), est.n,
+                 _g(est.truncation_bound)] for name, est in estimates]
+               + [["analytic_value", _g(v0), 0, n, 0]])
 
 
 def _regime_curves(rep):
@@ -298,8 +315,8 @@ def cmd_sweep(args, out_dir: Path) -> int:
 
 def cmd_value(args, out_dir: Path) -> int:
     p = _load(args)
-    sol = _solve_checked(p)
     grid = _parse_grid(args.grid)
+    sol = _solve_checked(p)
     rep = value_report(sol, p, grid)
     _write_curves(out_dir / "value.csv", out_dir / "value.svg", grid,
                   _regime_curves(rep), title="value function", ylabel="v(x, i)")
@@ -316,37 +333,23 @@ def cmd_simulate(args, out_dir: Path) -> int:
     try:
         cfg = SimConfig(dt=args.dt, horizon=args.horizon, n_paths=args.paths,
                         seed=args.seed, x0=args.x0, i0=args.i0)
-        n_files = min(args.paths, _MAX_PATH_FILES)
-        cfg_files = SimConfig(dt=args.dt, horizon=args.horizon,
-                              n_paths=n_files, seed=args.seed, x0=args.x0,
-                              i0=args.i0)
         # per-path streams are keyed by (seed, path index), so the first
-        # n_files paths of the full run are exactly this smaller run
-        paths = simulate_controlled(p, sol, cfg_files)
+        # path files are exactly the first paths of the full run
+        paths = simulate_controlled(
+            p, sol, replace(cfg, n_paths=min(args.paths, _MAX_PATH_FILES)))
+        est = mc_cost(p, sol, cfg) if args.paths >= 2 else None
     except ValueError as exc:
         raise CliError(EXIT_CONFIG, str(exc))
-    for k, cp in enumerate(paths):
-        with open(out_dir / f"path_{k + 1:03d}.csv", "w", newline="") as fh:
-            write_path_csv(cp, fh)
-    first = paths[0]
-    svg = line_plot(
-        [("x_t", first.times, first.x), ("u_t", first.times, first.u)],
-        title="closed-loop path", xlabel="t", ylabel="level",
-        spans=_regime_spans(first.times, first.regime),
-    )
-    _write_text(out_dir / "simulation.svg", svg)
+    for k, path in enumerate(paths):
+        _write_path(path, out_dir / f"path_{k + 1:03d}.csv",
+                    out_dir / "simulation.svg" if k == 0 else None,
+                    "closed-loop path")
     print(f"{len(paths)} path file(s), {cfg.n_steps} steps of dt={args.dt:g}, "
-          f"cost[0,T] of path 1: {first.disc_cost[-1]:.6f}")
-    if args.paths >= 2:
-        est = mc_cost(p, sol, cfg)
+          f"cost[0,T] of path 1: {paths[0].disc_cost[-1]:.6f}")
+    if est is not None:
         v0 = float(value_function(args.x0, args.i0, sol, p))
-        rows = [
-            ("mc_cost", est),
-            ("analytic_value", MCEstimate(mean=v0, std_error=0.0,
-                                          n=cfg.n_paths, truncation_bound=0.0)),
-        ]
-        with open(out_dir / "mc_summary.csv", "w", newline="") as fh:
-            write_mc_summary_csv(rows, fh)
+        _write_mc_summary(out_dir / "mc_summary.csv", [("mc_cost", est)],
+                          v0, cfg.n_paths)
         gap = est.mean - v0
         print(f"mc cost {est.mean:.6f} (se {est.std_error:.6f}, "
               f"n={est.n}, tail bound {est.truncation_bound:.2e}) vs "
@@ -512,13 +515,8 @@ def cmd_reproduce(args, out_dir: Path) -> int:
                       ylabel="v(x, i)")
 
     (path,) = simulate_controlled(p, sol, sim_cfg)
-    with open(out_dir / "simulation.csv", "w", newline="") as fh:
-        write_path_csv(path, fh)
-    _write_text(out_dir / "simulation.svg", line_plot(
-        [("x_t", path.times, path.x), ("u_t", path.times, path.u)],
-        title="seeded closed-loop path", xlabel="t", ylabel="level",
-        spans=_regime_spans(path.times, path.regime),
-    ))
+    _write_path(path, out_dir / "simulation.csv", out_dir / "simulation.svg",
+                "seeded closed-loop path")
 
     # statistical cross-check of the analytic value; informational only
     v0 = float(value_function(0.0, 1, sol, p))
@@ -526,26 +524,16 @@ def cmd_reproduce(args, out_dir: Path) -> int:
     est2 = mc_cost(p, sol, mc_cfg2)
     bias = abs(est2.mean - est.mean)
     allowance = 3.0 * est.std_error + est.truncation_bound + bias
-    with open(out_dir / "mc_verification.csv", "w", newline="") as fh:
-        write_mc_summary_csv([
-            ("mc_cost_dt_0.02", est),
-            ("mc_cost_dt_0.04", est2),
-            ("analytic_value", MCEstimate(mean=v0, std_error=0.0,
-                                          n=mc_cfg.n_paths,
-                                          truncation_bound=0.0)),
-        ], fh)
+    _write_mc_summary(out_dir / "mc_verification.csv",
+                      [("mc_cost_dt_0.02", est), ("mc_cost_dt_0.04", est2)],
+                      v0, mc_cfg.n_paths)
     mc_ok = abs(est.mean - v0) <= allowance
 
-    cells = []
     bench = expected["benchmark"]
-    for i in range(p.m):
-        cells.append((f"phi({i + 1})", float(bench["phi"][i]), float(sol.phi[i])))
-        cells.append((f"psi({i + 1})", float(bench["psi"][i]), float(sol.psi[i])))
-    for i in range(p.m):
-        cells.append((f"slope({i + 1})", float(bench["slope"][i]),
-                      float(coeffs.slope[i])))
-        cells.append((f"intercept({i + 1})", float(bench["intercept"][i]),
-                      float(coeffs.intercept[i])))
+    cells = [(f"{name}({i + 1})", float(bench[name][i]), float(ours[i]))
+             for group in ((("phi", sol.phi), ("psi", sol.psi)),
+                           (("slope", coeffs.slope), ("intercept", coeffs.intercept)))
+             for i in range(p.m) for name, ours in group]
     computed = {(row["param"], row["token"]): row for row in rows}
     matched_rows = 0
     for entry in expected["table"]:
@@ -554,18 +542,11 @@ def cmd_reproduce(args, out_dir: Path) -> int:
         if row is None:
             raise CliError(EXIT_CHECK,
                            f"expected table row {key} was not computed")
-        label = row["label"]
-        row_ok = True
-        for i in range(p.m):
-            exp_phi = float(entry["phi"][i])
-            exp_psi = float(entry["psi"][i])
-            act_phi = float(row["sol"].phi[i])
-            act_psi = float(row["sol"].psi[i])
-            cells.append((f"{label} phi({i + 1})", exp_phi, act_phi))
-            cells.append((f"{label} psi({i + 1})", exp_psi, act_psi))
-            row_ok = (row_ok and abs(exp_phi - act_phi) <= tol
-                      and abs(exp_psi - act_psi) <= tol)
-        matched_rows += int(row_ok)
+        row_cells = [(f"{row['label']} {name}({i + 1})", float(entry[name][i]),
+                      float(getattr(row["sol"], name)[i]))
+                     for i in range(p.m) for name in ("phi", "psi")]
+        cells += row_cells
+        matched_rows += all(abs(exp - act) <= tol for _, exp, act in row_cells)
 
     n_ok = 0
     bad_cells = []

@@ -17,7 +17,6 @@ together with a diagonal-dominance certificate of that uniqueness.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -37,7 +36,6 @@ __all__ = [
     "elimination_solve",
     "uniqueness_certificate",
     "solve",
-    "write_solution_csv",
     "DEFAULT_TOL",
     "DEFAULT_MAX_ITER",
     "ELIMINATION_MAX_M",
@@ -141,14 +139,13 @@ def solve_are(p: ModelParams) -> np.ndarray:
     Raises :class:`NonConvergence` if DEFAULT_MAX_ITER iterations do not
     reach DEFAULT_TOL.
     """
-    phi, _ = _newton(p, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    phi, _ = _newton(p)
     return phi
 
 
-def _newton(p: ModelParams, tol: float, max_iter: int):
+def _newton(p: ModelParams):
     _require_solvable(p)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    tol, max_iter = DEFAULT_TOL, DEFAULT_MAX_ITER
     q = p.gen.q
     phi = np.zeros(p.m)
     res = are_residual(phi, p)
@@ -289,10 +286,9 @@ def uniqueness_certificate(phi_a, phi_b, p: ModelParams) -> DominanceCertificate
     return DominanceCertificate(matrix_A_phi=a)
 
 
-def solve(p: ModelParams, tol: float = DEFAULT_TOL,
-          max_iter: int = DEFAULT_MAX_ITER) -> RiccatiSolution:
+def solve(p: ModelParams) -> RiccatiSolution:
     """Full solve: curvature, slope, residuals, and the self-certificate."""
-    phi, iterations = _newton(p, tol, max_iter)
+    phi, iterations = _newton(p)
     psi = solve_psi(phi, p)
     phi.setflags(write=False)
     psi.setflags(write=False)
@@ -304,17 +300,3 @@ def solve(p: ModelParams, tol: float = DEFAULT_TOL,
         iterations=iterations,
         certificate=uniqueness_certificate(phi, phi, p),
     )
-
-
-def write_solution_csv(sol: RiccatiSolution, fp) -> None:
-    """Serialize per-regime solution values with columns regime, phi, psi, residual_phi, residual_psi."""
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["regime", "phi", "psi", "residual_phi", "residual_psi"])
-    for i in range(len(sol.phi)):
-        writer.writerow([
-            i + 1,
-            format(float(sol.phi[i]), ".12g"),
-            format(float(sol.psi[i]), ".12g"),
-            format(float(sol.residual_phi[i]), ".3e"),
-            format(float(sol.residual_psi[i]), ".3e"),
-        ])

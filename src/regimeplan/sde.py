@@ -40,7 +40,6 @@ run over arrays in global path order, so a given SimConfig produces
 bit-identical results whatever the block and chunk sizes.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -60,8 +59,6 @@ __all__ = [
     "asymptotic_decay",
     "adjoint_residual",
     "shifted_policy",
-    "write_path_csv",
-    "write_mc_summary_csv",
 ]
 
 _BLOCK = 2048  # paths per vectorized block
@@ -211,6 +208,16 @@ class _EngineOut:
     regime: np.ndarray         # (len(record), n_paths) 0-based regimes there
 
 
+def _require_finite(costs: np.ndarray) -> None:
+    """Turn an overflowed cost, computed with numpy's warnings off, into ValueError."""
+    bad = ~np.isfinite(costs)
+    if bad.any():
+        raise ValueError(f"discounted cost is not finite ({costs[bad][0]}) on "
+                         f"{int(bad.sum())} of {costs.size} paths; the start point "
+                         "or the cost scale overflows")
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
     """Drive all paths through the Euler scheme in path blocks and time chunks.
 
@@ -220,6 +227,7 @@ def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
     returning something that broadcasts to the states' shape.  At the j-th
     grid node listed in record (distinct nodes) every path's state and
     0-based regime are written to row j of the two time-major matrices.
+    Raises ValueError if a path's cost is not finite.
     """
     if not p.r > 0:
         raise ValueError("r not positive")
@@ -316,9 +324,11 @@ def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
                     np.add(x, tmp, out=x)
         costs[lo:hi] = cost
         tail_max = max(tail_max, float(tail.max()))
+    _require_finite(costs)
     return _EngineOut(costs=costs, tail_max=tail_max, x=rec_x, regime=rec_reg)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_controlled(p: ModelParams, sol: RiccatiSolution,
                         cfg: SimConfig) -> list:
     """Simulate cfg.n_paths closed-loop trajectories, one ControlledPath each.
@@ -335,7 +345,7 @@ def simulate_controlled(p: ModelParams, sol: RiccatiSolution,
     Retains every grid value of every path, and refuses with ValueError,
     before allocating, a request that would retain more than _KEEP_BUDGET
     bytes; for large-sample estimates use mc_cost, which streams paths and
-    keeps only reductions.
+    keeps only reductions.  Raises ValueError if a running cost is not finite.
     """
     kept = cfg.n_paths * (cfg.n_steps + 1) * _KEPT_PER_NODE
     if kept > _KEEP_BUDGET:
@@ -366,6 +376,7 @@ def simulate_controlled(p: ModelParams, sol: RiccatiSolution,
             np.multiply(g[:-1] + g[1:], half_dt, out=acc[1:])
             np.cumsum(acc, axis=0, out=acc)
             g_last = g[-1]
+    _require_finite(cost[-1])
     regs += 1  # 1-based labels, in place
     for a in (times, xs, us, regs, cost):
         _ro(a)
@@ -374,6 +385,7 @@ def simulate_controlled(p: ModelParams, sol: RiccatiSolution,
             for k in range(cfg.n_paths)]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mc_cost(p: ModelParams, sol_or_policy, cfg: SimConfig) -> MCEstimate:
     """Mean and standard error of the discounted cost truncated at the horizon.
 
@@ -384,7 +396,8 @@ def mc_cost(p: ModelParams, sol_or_policy, cfg: SimConfig) -> MCEstimate:
     observed over the final quarter of the horizon across all paths: a crude
     plug-in estimate of the post-T conditional expectation supremum, reported
     so comparisons against analytic values can budget for the discarded tail.
-    It is an empirical estimate, not a proven bound.
+    It is an empirical estimate, not a proven bound.  Raises ValueError if a
+    path's cost or the statistics overflow.
     """
     if cfg.n_paths < 2:
         raise ValueError("mc_cost needs n_paths >= 2")
@@ -394,6 +407,9 @@ def mc_cost(p: ModelParams, sol_or_policy, cfg: SimConfig) -> MCEstimate:
     out = _run(p, policy, cfg)
     mean = float(np.mean(out.costs))
     se = float(np.std(out.costs, ddof=1) / math.sqrt(cfg.n_paths))
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise ValueError(f"cost statistics are not finite (mean {mean}, "
+                         f"standard error {se})")
     t_end = cfg.n_steps * cfg.dt
     bound = math.exp(-p.r * t_end) * out.tail_max / p.r
     return MCEstimate(mean=mean, std_error=se, n=cfg.n_paths,
@@ -479,31 +495,3 @@ def shifted_policy(sol: RiccatiSolution, p: ModelParams,
     coeffs = policy_coefficients(sol, p)
     return PolicyCoefficients(slope=coeffs.slope,
                               intercept=_ro(coeffs.intercept + float(delta)))
-
-
-def write_path_csv(cp: ControlledPath, fp) -> None:
-    """Serialize a path as CSV with columns t, x, u, regime, disc_cost."""
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["t", "x", "u", "regime", "disc_cost"])
-    for k in range(cp.times.shape[0]):
-        writer.writerow([
-            format(float(cp.times[k]), ".12g"),
-            format(float(cp.x[k]), ".12g"),
-            format(float(cp.u[k]), ".12g"),
-            int(cp.regime[k]),
-            format(float(cp.disc_cost[k]), ".12g"),
-        ])
-
-
-def write_mc_summary_csv(rows, fp) -> None:
-    """Serialize (label, MCEstimate) pairs with columns quantity, mean, std_error, n, truncation_bound."""
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["quantity", "mean", "std_error", "n", "truncation_bound"])
-    for name, est in rows:
-        writer.writerow([
-            name,
-            format(float(est.mean), ".12g"),
-            format(float(est.std_error), ".12g"),
-            int(est.n),
-            format(float(est.truncation_bound), ".12g"),
-        ])

@@ -33,8 +33,14 @@ def read_csv(path):
 def test_solve_artifacts_and_values(tmp_path, capsys):
     assert run(["solve", "--out", str(tmp_path), "--label", "a"]) == 0
     d = tmp_path / "solve" / "a"
+    lines = (d / "solution.csv").read_text().splitlines()
+    assert lines[0] == "regime,phi,psi,residual_phi,residual_psi"
     rows = read_csv(d / "solution.csv")
     assert len(rows) == 2
+    assert rows[0]["regime"] == "1"
+    for row in rows:  # residuals in three-digit scientific notation
+        for key in ("residual_phi", "residual_psi"):
+            assert row[key] == format(float(row[key]), ".3e")
     assert float(rows[0]["phi"]) == pytest.approx(0.40833148, abs=1e-6)
     assert float(rows[1]["psi"]) == pytest.approx(-0.23297408, abs=1e-6)
     cert = read_csv(d / "certificate.csv")
@@ -134,6 +140,11 @@ def test_sweep_bad_values_exit_2(tmp_path, capsys):
     assert run(["sweep", "--param", "r", "--values", "a,b",
                 "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    for values in ("nan:1", "inf:1"):
+        assert run(["sweep", "--param", "sigma", "--values", values,
+                    "--out", str(tmp_path), "--label", values]) == 2
+        assert "not finite" in capsys.readouterr().err
+        assert [f.name for f in (tmp_path / "sweep" / values).iterdir()] == ["manifest.json"]
 
 
 def test_value_grid(tmp_path, capsys):
@@ -148,6 +159,12 @@ def test_value_grid(tmp_path, capsys):
     xml.dom.minidom.parseString((tmp_path / "value" / "v" / "value.svg").read_text())
 
 
+def test_value_rejects_non_finite_grid(tmp_path, capsys):
+    assert run(["value", "--grid=0:inf:5", "--out", str(tmp_path), "--label", "inf"]) == 2
+    assert "invalid grid spec" in capsys.readouterr().err
+    assert [f.name for f in (tmp_path / "value" / "inf").iterdir()] == ["manifest.json"]
+
+
 def test_simulate_artifacts(tmp_path):
     assert run(["simulate", "--paths", "3", "--horizon", "5", "--out", str(tmp_path),
                 "--label", "s"]) == 0
@@ -155,13 +172,22 @@ def test_simulate_artifacts(tmp_path):
     for k in (1, 2, 3):
         assert (d / f"path_{k:03d}.csv").exists()
     assert not (d / "path_004.csv").exists()
+    lines = (d / "path_001.csv").read_text().splitlines()
+    assert lines[0] == "t,x,u,regime,disc_cost"
+    assert lines[1].startswith("0,0,")
+    assert lines[1].endswith(",1,0")  # regime 1, no cost yet
     rows = read_csv(d / "path_001.csv")
     assert len(rows) == 501
     assert float(rows[0]["disc_cost"]) == 0.0
-    summary = read_csv(d / "mc_summary.csv")
-    names = [row["quantity"] for row in summary]
-    assert "mc_cost" in names
-    assert "analytic_value" in names
+    lines = (d / "mc_summary.csv").read_text().splitlines()
+    assert lines[0] == "quantity,mean,std_error,n,truncation_bound"
+    name, mean, se, n, tail = lines[1].split(",")
+    assert (name, n) == ("mc_cost", "3")
+    for cell in (mean, se, tail):  # twelve significant digits
+        assert cell == format(float(cell), ".12g")
+    assert lines[2].startswith("analytic_value,")
+    assert lines[2].endswith(",0,3,0")  # exact value: no error, n = --paths
+    assert len(lines) == 3
     doc = xml.dom.minidom.parseString((d / "simulation.svg").read_text())
     assert len(doc.getElementsByTagName("polyline")) >= 2
 
@@ -190,6 +216,13 @@ def test_simulate_rejects_non_finite_input(tmp_path, capsys):
         assert run(["simulate", *args, "--out", str(tmp_path), "--label", str(k)]) == 2
         assert "must be finite" in capsys.readouterr().err
         assert [f.name for f in (tmp_path / "simulate" / str(k)).iterdir()] == ["manifest.json"]
+
+
+def test_simulate_rejects_overflowing_cost(tmp_path, capsys):
+    assert run(["simulate", "--x0", "1e200", "--paths", "2", "--horizon", "1",
+                "--out", str(tmp_path), "--label", "big"]) == 2
+    assert "discounted cost is not finite" in capsys.readouterr().err
+    assert [f.name for f in (tmp_path / "simulate" / "big").iterdir()] == ["manifest.json"]
 
 
 def test_simulate_zero_sigma_config(tmp_path):
@@ -240,6 +273,10 @@ def test_reproduce_passes(tmp_path, capsys):
     assert (d / "mc_verification.csv").exists()
     for param in ("r", "q", "theta", "sigma"):
         assert (d / f"value_sweep_{param}.csv").exists()
+    # reproduce's seeded path is simulate's first path at the same seed
+    assert run(["simulate", "--paths", "1", "--out", str(tmp_path), "--label", "sim"]) == 0
+    path = (tmp_path / "simulate" / "sim" / "path_001.csv").read_bytes()
+    assert path == (d / "simulation.csv").read_bytes()
 
 
 def test_reproduce_flags_tampered_expectations(tmp_path, capsys):

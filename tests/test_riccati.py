@@ -1,6 +1,5 @@
 """Coupled quadratic system: Newton solver, elimination oracle, certificates."""
 
-import io
 import math
 
 import numpy as np
@@ -18,7 +17,7 @@ from regimeplan import (
     solve_psi,
     uniqueness_certificate,
 )
-from regimeplan.riccati import write_solution_csv
+from regimeplan import riccati
 
 from conftest import random_params
 
@@ -131,9 +130,10 @@ def test_determinism(p_bench):
     assert np.array_equal(a.psi, b.psi)
 
 
-def test_nonconvergence_raises(p_bench):
+def test_nonconvergence_raises(p_bench, monkeypatch):
+    monkeypatch.setattr(riccati, "DEFAULT_MAX_ITER", 1)
     with pytest.raises(NonConvergence) as err:
-        solve(p_bench, max_iter=1)
+        solve(p_bench)
     assert err.value.residual > 0.0
 
 
@@ -144,8 +144,6 @@ def test_solver_hypothesis_checks(p_bench):
         solve(p_bench.replace(r=0.0))
     with pytest.raises(ValueError, match="off-diagonal"):
         solve(p_bench.replace(gen=Generator([[1.0, -1.0], [2.0, -2.0]])))
-    with pytest.raises(ValueError, match="tol"):
-        solve(p_bench, tol=0.0)
     with pytest.raises(ValueError, match="theta not finite"):
         solve(p_bench.replace(theta=[np.nan, 2.5]))
     with pytest.raises(ValueError, match="r not finite"):
@@ -167,14 +165,3 @@ def test_elimination_size_cap():
     elimination_solve(p)  # within the cap
     with pytest.raises(ValueError, match="m <= 4"):
         elimination_solve(big)
-
-
-def test_solution_csv(sol_bench):
-    buf = io.StringIO()
-    write_solution_csv(sol_bench, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "regime,phi,psi,residual_phi,residual_psi"
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert int(first[0]) == 1
-    assert float(first[1]) == pytest.approx(PHI_BENCH[0], abs=1e-6)

@@ -1,6 +1,5 @@
 """Controlled simulation: scheme order, determinism, estimators, adjoint identity."""
 
-import io
 import math
 
 import numpy as np
@@ -23,7 +22,6 @@ from regimeplan import (
 )
 from regimeplan import sde
 from regimeplan.riccati import RiccatiSolution
-from regimeplan.sde import write_mc_summary_csv, write_path_csv
 
 
 def one_regime_params():
@@ -328,25 +326,13 @@ def test_user_policy_callable(p_bench, sol_bench):
     assert a.std_error == pytest.approx(b.std_error, abs=1e-12)
 
 
-def test_write_path_csv(p_bench, sol_bench):
-    cfg = SimConfig(dt=0.5, horizon=2.0, n_paths=1, seed=2, x0=1.0, i0=1)
-    cp = simulate_controlled(p_bench, sol_bench, cfg)[0]
-    buf = io.StringIO()
-    write_path_csv(cp, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "t,x,u,regime,disc_cost"
-    assert len(lines) == 1 + cfg.n_steps + 1
-    row = lines[1].split(",")
-    assert float(row[0]) == 0.0
-    assert float(row[1]) == 1.0
-    assert row[4] == "0"
-
-
-def test_write_mc_summary_csv():
-    rows = [("mc_cost", MCEstimate(mean=10.5, std_error=0.02, n=100,
-                                   truncation_bound=0.001))]
-    buf = io.StringIO()
-    write_mc_summary_csv(rows, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "quantity,mean,std_error,n,truncation_bound"
-    assert lines[1] == "mc_cost,10.5,0.02,100,0.001"
+def test_overflowing_cost_raises(p_bench, sol_bench):
+    # x0^2 overflows the running cost; numpy's overflow warning must not leak
+    cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=2, seed=0, x0=1e200, i0=1)
+    for fn in (simulate_controlled, mc_cost):
+        with pytest.raises(ValueError, match="discounted cost is not finite"):
+            fn(p_bench, sol_bench, cfg)
+    # finite costs whose spread overflows the standard error
+    with pytest.raises(ValueError, match="standard error inf"):
+        mc_cost(p_bench, sol_bench, SimConfig(dt=0.01, horizon=1.0, n_paths=2,
+                                              seed=0, x0=1e100, i0=1))
