@@ -23,14 +23,12 @@ from .model import (
     load_params,
     params_from_config,
     params_to_config,
-    save_params,
     validate_params,
 )
 from .policy import (
     PolicyCoefficients,
     ValueReport,
     default_grid,
-    feedback_control,
     hamiltonian,
     hamiltonian_minimizer,
     policy_coefficients,
@@ -89,7 +87,6 @@ __all__ = [
     "discounted_resolvent",
     "elimination_solve",
     "expected_values",
-    "feedback_control",
     "hamiltonian",
     "hamiltonian_minimizer",
     "load_params",
@@ -98,7 +95,6 @@ __all__ = [
     "params_to_config",
     "policy_coefficients",
     "psi_residual",
-    "save_params",
     "shifted_policy",
     "simulate_chain",
     "simulate_controlled",

@@ -47,11 +47,6 @@ class RegimePath:
     def n_jumps(self) -> int:
         return len(self.states) - 1
 
-    def state_at(self, t):
-        """Regime occupied at time t (vectorized; jumps take effect at the jump time)."""
-        idx = np.searchsorted(self.jump_times, t, side="right") - 1
-        return self.states[idx]
-
 
 def _jump_tables(gen: Generator):
     """Per-state exit rates and cumulative next-state distributions as plain lists."""

@@ -24,7 +24,6 @@ from ._svg import line_plot
 from .model import ConfigError, ModelParams, load_params, validate_params
 from .policy import (
     default_grid,
-    feedback_control,
     hamiltonian,
     hamiltonian_minimizer,
     policy_coefficients,
@@ -74,6 +73,11 @@ class RunManifest:
 
 def _g(v: float) -> str:
     return format(float(v), ".12g")
+
+
+def _f6(v: float, sign: str = "") -> str:
+    """Six decimals, switching to exponent form at 1e6 so huge values stay short."""
+    return format(float(v), sign + (".6f" if abs(v) < 1e6 else ".6e"))
 
 
 def _timestamp() -> str:
@@ -345,15 +349,15 @@ def cmd_simulate(args, out_dir: Path) -> int:
                     out_dir / "simulation.svg" if k == 0 else None,
                     "closed-loop path")
     print(f"{len(paths)} path file(s), {cfg.n_steps} steps of dt={args.dt:g}, "
-          f"cost[0,T] of path 1: {paths[0].disc_cost[-1]:.6f}")
+          f"cost[0,T] of path 1: {_f6(paths[0].disc_cost[-1])}")
     if est is not None:
         v0 = float(value_function(args.x0, args.i0, sol, p))
         _write_mc_summary(out_dir / "mc_summary.csv", [("mc_cost", est)],
                           v0, cfg.n_paths)
         gap = est.mean - v0
-        print(f"mc cost {est.mean:.6f} (se {est.std_error:.6f}, "
+        print(f"mc cost {_f6(est.mean)} (se {_f6(est.std_error)}, "
               f"n={est.n}, tail bound {est.truncation_bound:.2e}) vs "
-              f"analytic {v0:.6f}, gap {gap:+.6f}")
+              f"analytic {_f6(v0)}, gap {_f6(gap, '+')}")
     return EXIT_OK
 
 
@@ -393,12 +397,13 @@ def cmd_check(args, out_dir: Path) -> int:
         items.append(("adjoint residual", res <= 1e-9,
                       f"max {res:.2e} over 1000 samples"))
 
+        law = policy_coefficients(sol, p)
         ok = True
         detail = "feedback minimizes H at spot checks"
         for x in (-10.0, -1.0, 0.0, 1.0, 10.0):
             for i in range(1, p.m + 1):
                 y = float(sol.phi[i - 1] * x + sol.psi[i - 1])
-                u_star = float(feedback_control(x, i, sol, p))
+                u_star = float(law(x, i, 0.0))
                 if abs(u_star - hamiltonian_minimizer(i, y, p)) > 1e-10:
                     ok, detail = False, f"feedback differs from argmin H at x={x:g}, i={i}"
                     break
@@ -423,66 +428,12 @@ def cmd_check(args, out_dir: Path) -> int:
     return EXIT_CHECK if failed else EXIT_OK
 
 
-def _read_expected(path):
-    """Reference values and tolerance, checked before any solve or MC work."""
-    if path is None:
-        expected = expected_values()
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                expected = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(EXIT_CONFIG, f"cannot read expected values: {exc}")
-    if not isinstance(expected, dict):
-        raise CliError(EXIT_CONFIG, "expected values must be a JSON object")
-    bench = expected.get("benchmark")
-    missing = [key for key in ("tolerance", "table") if key not in expected]
-    missing += [f"benchmark.{key}" for key in ("phi", "psi", "slope", "intercept")
-                if not isinstance(bench, dict) or key not in bench]
-    if missing:
-        raise CliError(EXIT_CONFIG, "expected values lack " + ", ".join(missing))
-    m = benchmark_params().m
-    bad = [f"benchmark.{key}" for key in ("phi", "psi", "slope", "intercept")
-           if not _numbers(bench[key], m)]
-    table = expected["table"]
-    if isinstance(table, list):
-        bad += [f"table[{k}]" for k, entry in enumerate(table)
-                if not _table_entry_ok(entry, m)]
-    else:
-        bad.append("table")
-    if bad:
-        raise CliError(EXIT_CONFIG, "malformed expected values: " + ", ".join(bad))
-    try:
-        return expected, float(expected["tolerance"])
-    except (TypeError, ValueError):
-        raise CliError(EXIT_CONFIG, "expected tolerance must be a number")
-
-
-def _numbers(value, m: int) -> bool:
-    """True for a JSON list of m numbers."""
-    return (isinstance(value, list) and len(value) == m
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in value))
-
-
-def _table_entry_ok(entry, m: int) -> bool:
-    """An expected table row: param, a value it accepts, and phi/psi lists."""
-    if not (isinstance(entry, dict) and isinstance(entry.get("param"), str)
-            and "value" in entry and _numbers(entry.get("phi"), m)
-            and _numbers(entry.get("psi"), m)):
-        return False
-    try:
-        _value_token(entry["param"], entry["value"])
-    except (TypeError, ValueError):
-        return False
-    return True
-
-
 def cmd_reproduce(args, out_dir: Path) -> int:
     if args.config is not None:
         raise CliError(EXIT_CONFIG,
                        "reproduce uses the built-in benchmark configuration")
-    expected, tol = _read_expected(args.expected)
+    expected = expected_values()
+    tol = float(expected["tolerance"])
     try:
         sim_cfg = SimConfig(dt=0.01, horizon=10.0, n_paths=1, seed=args.seed,
                             x0=0.0, i0=1)
@@ -638,10 +589,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("check", parents=[common],
                    help="run model and optimality diagnostics")
 
-    sp = sub.add_parser("reproduce", parents=[common],
-                        help="regenerate the reference artifact set and diff it")
-    sp.add_argument("--expected", metavar="PATH",
-                    help="alternate expected-values JSON (self-test hook)")
+    sub.add_parser("reproduce", parents=[common],
+                   help="regenerate the reference artifact set and diff it")
 
     return parser
 

@@ -31,7 +31,6 @@ __all__ = [
     "ValidationReport",
     "validate_params",
     "load_params",
-    "save_params",
     "params_from_config",
     "params_to_config",
     "CONFIG_KEYS",
@@ -251,9 +250,3 @@ def params_to_config(p: ModelParams) -> dict:
         "N": p.N.tolist(),
         "R": p.R.tolist(),
     }
-
-
-def save_params(p: ModelParams, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(params_to_config(p), fh, indent=2)
-        fh.write("\n")

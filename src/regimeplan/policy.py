@@ -30,7 +30,6 @@ __all__ = [
     "ValueReport",
     "hamiltonian",
     "hamiltonian_minimizer",
-    "feedback_control",
     "policy_coefficients",
     "value_constant",
     "value_function",
@@ -58,20 +57,10 @@ class PolicyCoefficients:
 
 @dataclass(frozen=True, eq=False)
 class ValueReport:
-    """Analytic value function, decomposed and tabulated on a grid.
+    """Analytic value function tabulated on a grid: table[k, i-1] = v(grid[k], i)."""
 
-    v(x, i) = quad(i) x^2 + lin(i) x + const(i); table[k, i-1] = v(grid[k], i).
-    """
-
-    quad: np.ndarray
-    lin: np.ndarray
-    const: np.ndarray
     grid: np.ndarray
     table: np.ndarray
-
-    def value(self, x: float, i: int) -> float:
-        j = i - 1
-        return float(self.quad[j] * x * x + self.lin[j] * x + self.const[j])
 
 
 def default_grid(lo: float = -10.0, hi: float = 10.0, points: int = 401) -> np.ndarray:
@@ -105,13 +94,6 @@ def policy_coefficients(sol: RiccatiSolution, p: ModelParams) -> PolicyCoefficie
     return PolicyCoefficients(slope=slope, intercept=intercept)
 
 
-def feedback_control(x, i: int, sol: RiccatiSolution, p: ModelParams):
-    """Optimal production rate at inventory x in regime i (broadcasts over x)."""
-    j = i - 1
-    u = -(sol.phi[j] * np.asarray(x, dtype=float) + sol.psi[j]) / p.R[j] + p.h[j]
-    return float(u) if np.ndim(x) == 0 else u
-
-
 def value_constant(sol: RiccatiSolution, p: ModelParams) -> np.ndarray:
     """Constant term w of the value function, via the resolvent of the chain."""
     g = 0.5 * (p.N * p.c ** 2 + sol.phi * p.sigma ** 2
@@ -133,7 +115,6 @@ def value_report(sol: RiccatiSolution, p: ModelParams, grid=None) -> ValueReport
     w = value_constant(sol, p)
     table = (0.5 * sol.phi[None, :] * grid[:, None] ** 2
              + sol.psi[None, :] * grid[:, None] + w[None, :])
-    for arr in (grid, table, w):
-        arr.setflags(write=False)
-    return ValueReport(quad=0.5 * sol.phi, lin=sol.psi, const=w,
-                       grid=grid, table=table)
+    grid.setflags(write=False)
+    table.setflags(write=False)
+    return ValueReport(grid=grid, table=table)

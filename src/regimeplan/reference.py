@@ -21,8 +21,9 @@ __all__ = [
     "sweep_value_label",
 ]
 
-# Default value lists per swept quantity; the middle entry of each is the
-# benchmark setting (q is the symmetric switching rate).
+# Default value lists per swept quantity (q is the symmetric switching rate).
+# The benchmark setting is the middle entry for r and theta and the first for
+# q; the benchmark's sigma = (0.6, 0.8) is in no sweep.
 SWEEPS = {
     "r": (0.03, 0.05, 0.08),
     "q": (1.0, 2.0, 5.0),

@@ -189,10 +189,7 @@ def psi_residual(phi, psi, p: ModelParams) -> np.ndarray:
 
 
 def _psi_system(phi, p: ModelParams):
-    q = p.gen.q
-    exit_rates = -np.diag(q)  # row sums vanish, so sum_{j != i} q_ij = -q_ii
-    off = q - np.diag(np.diag(q))
-    bmat = np.diag(phi / p.R + p.r + exit_rates) - off
+    bmat = np.diag(phi / p.R + p.r) - p.gen.q
     rhs = (p.h - p.theta) * phi - p.N * p.c
     return bmat, rhs
 

@@ -16,13 +16,16 @@ is accumulated by the trapezoidal rule, matching the scheme's order; for
 estimates the trapezoid and the discount are folded into node weights
 dt e^{-r t_k}, halved at both ends.
 
-Affine laws u = s_i x + k_i (PolicyCoefficients, which the optimal feedback
-and shifted_policy are) are folded into per-regime tables: the step is
+Every policy runs through per-regime tables: the step is
 x <- A_i x + B_i + sigma_i dW and the integrand alpha_i (x - xstar_i)^2 +
-gamma_i with alpha_i, gamma_i >= 0, so no policy is called per step.  Any
-other callable policy is evaluated at every grid node with the plain Euler
-arithmetic.  Each path keeps its current table entries and changes them only
-at its regime jumps, so there is no per-step regime lookup either.
+gamma_i.  Affine laws u = s_i x + k_i (PolicyCoefficients, which the optimal
+feedback and shifted_policy are) fold into constant tables with alpha_i,
+gamma_i >= 0, so no policy is called per step.  Any other callable policy
+has A = 1, xstar = c and alpha = N/2, and is evaluated at every grid node to
+refill B = (u - theta) dt and gamma = 1/2 (u - h)^2 R; halving is exact, so
+this is the plain Euler arithmetic bit for bit.  Each path keeps its current
+table entries and changes them only at its regime jumps, so there is no
+per-step regime lookup either.
 
 Every path owns fixed random streams keyed by (seed, path index), with the
 regime path drawn from one substream and the normals from another.  Paths
@@ -217,6 +220,16 @@ def _require_finite(costs: np.ndarray) -> None:
                          "or the cost scale overflows")
 
 
+def _mean_se(vals: np.ndarray):
+    """Sample mean and standard error (ddof=1); ValueError if either overflows."""
+    mean = float(np.mean(vals))
+    se = float(np.std(vals, ddof=1) / math.sqrt(vals.shape[0]))
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise ValueError(f"sample statistics are not finite (mean {mean}, "
+                         f"standard error {se})")
+    return mean, se
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
     """Drive all paths through the Euler scheme in path blocks and time chunks.
@@ -224,7 +237,9 @@ def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
     policy is a PolicyCoefficients (folded tables, no call per step) or any
     callable (x, i, t) -> u, called once per grid node with the array of
     states, the matching array of 1-based regimes and the scalar time, and
-    returning something that broadcasts to the states' shape.  At the j-th
+    returning something that broadcasts to the states' shape; its u refills
+    the B and gamma rows, from the theta, h and R rows carried after them.
+    Both kinds share one node body.  At the j-th
     grid node listed in record (distinct nodes) every path's state and
     0-based regime are written to row j of the two time-major matrices.
     Raises ValueError if a path's cost is not finite.
@@ -241,8 +256,10 @@ def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
     affine = isinstance(policy, PolicyCoefficients)
     if affine:
         tables = _affine_tables(p, policy, dt)
-    else:
-        tables = np.array([p.N, p.c, p.R, p.h, p.theta, p.sigma])
+    else:  # rows A..gamma, then theta, h, R; B and gamma are refilled from u
+        one, zero = np.ones(p.m), np.zeros(p.m)
+        tables = np.array([one, zero, p.sigma, p.c, 0.5 * p.N, zero,
+                           p.theta, p.h, p.R])
     i0 = cfg.i0 - 1
     tail_from = (3 * n) // 4
     rows = {int(k): j for j, k in enumerate(record)}
@@ -260,10 +277,7 @@ def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
         normals = [np.random.default_rng([cfg.seed, k, 1]) for k in range(lo, hi)]
         reg = np.full(nb, i0, dtype=np.intp)
         cur = np.repeat(tables[:, i0:i0 + 1], nb, axis=1)  # table rows per path
-        if affine:
-            a_, b_, sig, xstar, alpha, gamma = cur
-        else:
-            n_, c_, r_, h_, th_, sig = cur
+        a_, b_, sig, xstar, alpha, gamma, *by_u = cur
         x = np.full(nb, float(cfg.x0))
         cost = np.zeros(nb)
         tail = np.zeros(nb)
@@ -287,22 +301,19 @@ def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
                     cols, new = ev_path[e0:e1], ev_state[e0:e1]
                     reg[cols] = new
                     cur[:, cols] = tables[:, new]
-                if affine:
-                    np.subtract(x, xstar, out=f)
-                    np.multiply(f, f, out=f)
-                    np.multiply(f, alpha, out=f)
-                    np.add(f, gamma, out=f)
-                else:
-                    u = np.broadcast_to(
-                        np.asarray(policy(x, reg + 1, node * dt), dtype=float), x.shape)
-                    np.subtract(x, c_, out=f)
-                    np.multiply(f, f, out=f)
-                    np.multiply(f, n_, out=f)
-                    np.subtract(u, h_, out=tmp)
-                    np.multiply(tmp, tmp, out=tmp)
-                    np.multiply(tmp, r_, out=tmp)
-                    np.add(f, tmp, out=f)
-                    np.multiply(f, 0.5, out=f)
+                if not affine:
+                    u = np.asarray(policy(x, reg + 1, node * dt), dtype=float)
+                    th_, h_, r_ = by_u
+                    np.subtract(u, th_, out=b_)
+                    np.multiply(b_, dt, out=b_)
+                    np.subtract(u, h_, out=gamma)
+                    np.multiply(gamma, gamma, out=gamma)
+                    np.multiply(gamma, r_, out=gamma)
+                    np.multiply(gamma, 0.5, out=gamma)
+                np.subtract(x, xstar, out=f)
+                np.multiply(f, f, out=f)
+                np.multiply(f, alpha, out=f)
+                np.add(f, gamma, out=f)
                 if node >= tail_from:
                     np.maximum(tail, f, out=tail)
                 j = rows.get(node)
@@ -315,11 +326,8 @@ def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
                 np.multiply(f, weight, out=tmp)
                 np.add(cost, tmp, out=cost)
                 if node < n:
-                    if affine:
-                        np.multiply(x, a_, out=x)
-                        np.add(x, b_, out=x)
-                    else:
-                        x = x + (u - th_) * dt
+                    np.multiply(x, a_, out=x)
+                    np.add(x, b_, out=x)
                     np.multiply(sig, dw[t], out=tmp)
                     np.add(x, tmp, out=x)
         costs[lo:hi] = cost
@@ -405,17 +413,14 @@ def mc_cost(p: ModelParams, sol_or_policy, cfg: SimConfig) -> MCEstimate:
     if not callable(policy):
         policy = policy_coefficients(policy, p)
     out = _run(p, policy, cfg)
-    mean = float(np.mean(out.costs))
-    se = float(np.std(out.costs, ddof=1) / math.sqrt(cfg.n_paths))
-    if not (math.isfinite(mean) and math.isfinite(se)):
-        raise ValueError(f"cost statistics are not finite (mean {mean}, "
-                         f"standard error {se})")
+    mean, se = _mean_se(out.costs)
     t_end = cfg.n_steps * cfg.dt
     bound = math.exp(-p.r * t_end) * out.tail_max / p.r
     return MCEstimate(mean=mean, std_error=se, n=cfg.n_paths,
                       truncation_bound=bound)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def asymptotic_decay(p: ModelParams, sol: RiccatiSolution, cfg: SimConfig,
                      checkpoints, adjoint: bool = False) -> list:
     """MC estimates of e^{-rT} E|X_T|^2 at each checkpoint time.
@@ -423,7 +428,8 @@ def asymptotic_decay(p: ModelParams, sol: RiccatiSolution, cfg: SimConfig,
     checkpoints must be strictly increasing and lie on the grid (each is
     matched to the nearest node; the discount uses the node time).  With
     adjoint=True the statistic is taken on Y_T = phi(a_T) X_T + psi(a_T)
-    instead of X_T.  Returns [(T, estimate, standard error), ...].
+    instead of X_T.  Returns [(T, estimate, standard error), ...].  Raises
+    ValueError if a statistic overflows.
     """
     if cfg.n_paths < 2:
         raise ValueError("asymptotic_decay needs n_paths >= 2")
@@ -448,9 +454,8 @@ def asymptotic_decay(p: ModelParams, sol: RiccatiSolution, cfg: SimConfig,
         else:
             vals = xs ** 2
         w = math.exp(-p.r * k * cfg.dt)
-        mean = w * float(np.mean(vals))
-        se = w * float(np.std(vals, ddof=1) / math.sqrt(vals.shape[0]))
-        result.append((t, mean, se))
+        mean, se = _mean_se(vals)
+        result.append((t, w * mean, w * se))
     return result
 
 

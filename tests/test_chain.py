@@ -1,5 +1,7 @@
 """Chain simulation, grid sampling, and the discounted resolvent."""
 
+import bisect
+
 import numpy as np
 import pytest
 
@@ -44,9 +46,10 @@ def test_state_at_matches_grid_sampling():
     path = simulate_chain(gen, 1, 10.0, seed=11)
     grid = np.linspace(0.0, 9.99, 101)
     idx = regimes_on_grid(path.jump_times, path.states - 1, grid)
-    assert np.array_equal(path.state_at(grid) - 1, idx)
-    assert path.state_at(0.0) == 1
-    assert path.state_at(path.horizon - 1e-12) == path.states[-1]
+    jt = path.jump_times.tolist()  # jumps take effect at the jump time
+    assert [path.states[bisect.bisect_right(jt, t) - 1] - 1 for t in grid] == idx.tolist()
+    ends = regimes_on_grid(path.jump_times, path.states, [0.0, path.horizon - 1e-12])
+    assert ends.tolist() == [1, path.states[-1]]
 
 
 def test_regimes_on_grid_piecewise():
@@ -62,7 +65,7 @@ def test_absorbing_state():
     assert path.states[-1] == 1
     assert path.n_jumps == 1
     assert path.jump_counts[1, 0] == 1
-    assert path.state_at(99.9) == 1
+    assert regimes_on_grid(path.jump_times, path.states, [99.9]).tolist() == [1]
     still = simulate_chain(gen, 1, 100.0, seed=5)
     assert still.n_jumps == 0
 

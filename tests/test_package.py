@@ -1,4 +1,4 @@
-"""The public surface: every exported name resolves; only the CLI writes CSV."""
+"""The public surface: every exported name resolves; only the CLI writes files."""
 
 import ast
 import importlib
@@ -35,3 +35,28 @@ def test_only_cli_imports_csv():
             if "csv" in found:
                 importers.append(name)
     assert importers == ["regimeplan.cli"]
+
+
+def _writes_file(call: ast.Call) -> bool:
+    """json.dump, write_text/write_bytes, or open with a w/a/x mode literal."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name == "dump":
+        return isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "json"
+    if name != "open":
+        return False
+    modes = call.args[:2] + [kw.value for kw in call.keywords if kw.arg == "mode"]
+    return any(isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+               and set(arg.value) <= set("rwaxbt+") and set(arg.value) & set("wax")
+               for arg in modes)
+
+
+def test_only_cli_writes_files():
+    writers = set()
+    for name in MODULES:
+        tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
+        if any(isinstance(node, ast.Call) and _writes_file(node) for node in ast.walk(tree)):
+            writers.add(name)
+    assert sorted(writers) == ["regimeplan.cli"]

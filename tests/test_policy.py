@@ -5,7 +5,6 @@ import pytest
 
 from regimeplan import (
     default_grid,
-    feedback_control,
     hamiltonian,
     hamiltonian_minimizer,
     policy_coefficients,
@@ -57,18 +56,12 @@ def test_hamiltonian_curvatures(p_bench):
 
 
 def test_feedback_is_pointwise_minimizer(p_bench, sol_bench):
+    law = policy_coefficients(sol_bench, p_bench)
     for i in (1, 2):
         for x in (-6.0, 0.0, 4.5):
             y = sol_bench.phi[i - 1] * x + sol_bench.psi[i - 1]
-            assert feedback_control(x, i, sol_bench, p_bench) == pytest.approx(
+            assert float(law(x, i, 0.0)) == pytest.approx(
                 hamiltonian_minimizer(i, y, p_bench), abs=1e-12)
-
-
-def test_feedback_broadcasts(p_bench, sol_bench):
-    xs = np.array([-1.0, 0.0, 2.0])
-    us = feedback_control(xs, 1, sol_bench, p_bench)
-    assert us.shape == (3,)
-    assert us[1] == pytest.approx(feedback_control(0.0, 1, sol_bench, p_bench))
 
 
 def test_value_constant_frozen(p_bench, sol_bench):
@@ -86,9 +79,6 @@ def test_value_report_decomposition(p_bench, sol_bench):
         for i in (1, 2):
             direct = value_function(float(rep.grid[k]), i, sol_bench, p_bench)
             assert rep.table[k, i - 1] == pytest.approx(direct, abs=1e-12)
-            assert rep.value(float(rep.grid[k]), i) == pytest.approx(direct, abs=1e-12)
-    assert np.allclose(2.0 * rep.quad, sol_bench.phi)
-    assert np.allclose(rep.lin, sol_bench.psi)
 
 
 def test_value_nonnegative_on_grid(p_bench, sol_bench):

@@ -336,3 +336,11 @@ def test_overflowing_cost_raises(p_bench, sol_bench):
     with pytest.raises(ValueError, match="standard error inf"):
         mc_cost(p_bench, sol_bench, SimConfig(dt=0.01, horizon=1.0, n_paths=2,
                                               seed=0, x0=1e100, i0=1))
+
+
+def test_decay_statistics_overflow_raises(p_bench, sol_bench):
+    # x_T^2 is finite at x0 = 1e100 but its spread overflows the standard error
+    cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=4, seed=0, x0=1e100, i0=1)
+    for adjoint in (False, True):
+        with pytest.raises(ValueError, match="standard error inf"):
+            asymptotic_decay(p_bench, sol_bench, cfg, (1.0,), adjoint=adjoint)
