@@ -139,17 +139,36 @@ def regimes_on_grid(jump_times, states, grid) -> np.ndarray:
     return np.asarray(states)[idx]
 
 
+def _mean_se(vals: np.ndarray):
+    """Sample mean and standard error (ddof=1); ValueError if either overflows."""
+    mean = float(np.mean(vals))
+    se = float(np.std(vals, ddof=1) / math.sqrt(vals.shape[0]))
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise ValueError(f"sample statistics are not finite (mean {mean}, "
+                         f"standard error {se})")
+    return mean, se
+
+
+def _functional_args(gen: Generator, r: float, g) -> np.ndarray:
+    """Check a discount rate and regime functional; return g as a float array."""
+    if not (r > 0 and math.isfinite(r)):
+        raise ValueError("r must be positive and finite")
+    g = np.asarray(g, dtype=float)
+    if g.shape != (gen.m,):
+        raise ValueError(f"g must have length m={gen.m}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("g must be finite")
+    return g
+
+
 def discounted_resolvent(gen: Generator, r: float, g) -> np.ndarray:
     """Solve (r I - Q) w = g for the discounted regime functional w.
 
     r I - Q is strictly diagonally dominant for r > 0, hence invertible; the
     dense LU factorization with partial pivoting is numerically safe here.
+    Raises ValueError unless r is positive and finite and g finite.
     """
-    if not r > 0:
-        raise ValueError("r must be positive")
-    g = np.asarray(g, dtype=float)
-    if g.shape != (gen.m,):
-        raise ValueError(f"g must have length m={gen.m}")
+    g = _functional_args(gen, r, g)
     a = r * np.eye(gen.m) - gen.q
     return np.linalg.solve(a, g)
 
@@ -161,19 +180,17 @@ def discounted_functional_mc(gen: Generator, r: float, g, i0: int,
     The integral is evaluated exactly on each constant segment of each path,
     so the only error sources are statistics and the horizon truncation.
     Path k draws from the stream derived from (seed, k).  Returns
-    (mean, std_error) with the sample standard deviation using ddof=1.
+    (mean, std_error) with the sample standard deviation using ddof=1, so
+    n_paths must be at least 2.  Raises ValueError unless r is positive and
+    finite and g finite.
     """
-    if not r > 0:
-        raise ValueError("r must be positive")
+    g = _functional_args(gen, r, g)
     if not 1 <= i0 <= gen.m:
         raise ValueError(f"i0 must be in 1..{gen.m}")
     if not horizon > 0:
         raise ValueError("horizon must be positive")
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
-    g = np.asarray(g, dtype=float)
-    if g.shape != (gen.m,):
-        raise ValueError(f"g must have length m={gen.m}")
+    if n_paths < 2:
+        raise ValueError("discounted_functional_mc needs n_paths >= 2")
     rates, cums, targets = _jump_tables(gen)
     vals = np.empty(n_paths)
     for kpath in range(n_paths):
@@ -181,6 +198,4 @@ def discounted_functional_mc(gen: Generator, r: float, g, i0: int,
         jt, st = _walk(rates, cums, targets, i0 - 1, horizon, rng)
         disc = np.exp(-r * np.append(jt, horizon))
         vals[kpath] = g[st] @ (disc[:-1] - disc[1:]) / r
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return mean, se
+    return _mean_se(vals)

@@ -12,9 +12,9 @@ is O(dt) regardless).  The running discounted cost
 
     int_0^t e^{-rs} (1/2)[N(a_s)(X_s - c(a_s))^2 + R(a_s)(u_s - h(a_s))^2] ds
 
-is accumulated by the trapezoidal rule, matching the scheme's order; for
-estimates the trapezoid and the discount are folded into node weights
-dt e^{-r t_k}, halved at both ends.
+is accumulated by the trapezoidal rule, matching the scheme's order, with
+the trapezoid and the discount folded into node weights dt e^{-r t_k},
+halved at both ends.
 
 Every policy runs through per-regime tables: the step is
 x <- A_i x + B_i + sigma_i dW and the integrand alpha_i (x - xstar_i)^2 +
@@ -32,15 +32,17 @@ regime path drawn from one substream and the normals from another.  Paths
 run in blocks of _BLOCK and time in chunks of _CHUNK grid nodes: a block's
 jump times become events at the first grid node at or after each jump, and
 its normals are drawn _CHUNK at a time per path (equal, bit for bit, to one
-full draw) and turned time-major.  The engine keeps per-path reductions and,
-at the grid nodes a caller lists, every path's state and regime:
-asymptotic_decay lists its checkpoints, and simulate_controlled lists every
-node and derives u and the running cost afterwards, so kept paths take the
-same folded step as the estimates.  mc_cost's memory does not grow with the
-horizon, and grows with the path count by one float per path.  Every
-per-path operation is elementwise and runs in grid order, and all reductions
-run over arrays in global path order, so a given SimConfig produces
-bit-identical results whatever the block and chunk sizes.
+full draw) and turned time-major.  A block holds all its paths' jumps, so
+it narrows below _BLOCK paths where horizon x (largest exit rate) would
+bring more than _BLOCK_JUMPS expected jumps; an estimate's memory is thus
+bounded at any horizon and switching rate, and grows by one float per path.
+The engine keeps per-path reductions and, at the grid nodes a caller
+lists, every path's state, regime and running cost: asymptotic_decay lists
+its checkpoints, and simulate_controlled lists every node and derives u
+through the law, so kept paths take the same step and the same quadrature
+as the estimates.  Every per-path operation is elementwise and runs in grid
+order, and all reductions run over arrays in global path order, so a given
+SimConfig produces bit-identical results whatever the block and chunk sizes.
 """
 
 import math
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _jump_tables, _walk
+from .chain import _jump_tables, _mean_se, _walk
 from .model import ModelParams
 from .policy import PolicyCoefficients, policy_coefficients
 from .riccati import RiccatiSolution
@@ -64,8 +66,9 @@ __all__ = [
     "shifted_policy",
 ]
 
-_BLOCK = 2048  # paths per vectorized block
+_BLOCK = 2048  # most paths per vectorized block
 _CHUNK = 512   # grid nodes per time chunk; with _BLOCK bounds transient memory
+_BLOCK_JUMPS = 1 << 20  # expected jump events per block, ~100 B each
 _KEEP_BUDGET = 1 << 30  # bytes simulate_controlled may retain
 _KEPT_PER_NODE = 32     # bytes per path and node: x, u, regime, disc_cost
 
@@ -209,6 +212,7 @@ class _EngineOut:
     tail_max: float            # max undiscounted integrand over the last quarter
     x: np.ndarray              # (len(record), n_paths) states at the recorded nodes
     regime: np.ndarray         # (len(record), n_paths) 0-based regimes there
+    cost: np.ndarray           # (len(record), n_paths) running trapezoid cost there
 
 
 def _require_finite(costs: np.ndarray) -> None:
@@ -218,16 +222,6 @@ def _require_finite(costs: np.ndarray) -> None:
         raise ValueError(f"discounted cost is not finite ({costs[bad][0]}) on "
                          f"{int(bad.sum())} of {costs.size} paths; the start point "
                          "or the cost scale overflows")
-
-
-def _mean_se(vals: np.ndarray):
-    """Sample mean and standard error (ddof=1); ValueError if either overflows."""
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(vals.shape[0]))
-    if not (math.isfinite(mean) and math.isfinite(se)):
-        raise ValueError(f"sample statistics are not finite (mean {mean}, "
-                         f"standard error {se})")
-    return mean, se
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -240,9 +234,11 @@ def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
     returning something that broadcasts to the states' shape; its u refills
     the B and gamma rows, from the theta, h and R rows carried after them.
     Both kinds share one node body.  At the j-th
-    grid node listed in record (distinct nodes) every path's state and
-    0-based regime are written to row j of the two time-major matrices.
-    Raises ValueError if a path's cost is not finite.
+    grid node listed in record (distinct nodes) every path's state, 0-based
+    regime and running cost are written to row j of three time-major
+    matrices; the running cost is the trapezoid over [0, t_node], so 0 at
+    node 0 and each path's final cost at node n_steps.  Raises ValueError if
+    a path's cost is not finite.
     """
     if not p.r > 0:
         raise ValueError("r not positive")
@@ -265,13 +261,15 @@ def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
     rows = {int(k): j for j, k in enumerate(record)}
     rec_x = np.empty((len(rows), n_paths))
     rec_reg = np.empty((len(rows), n_paths), dtype=np.int64)
+    rec_cost = np.empty((len(rows), n_paths))
     costs = np.empty(n_paths)
     tail_max = 0.0
-    width = min(_BLOCK, n_paths)
+    jumps = n * dt * float(np.max(-np.diag(p.gen.q)))
+    width = min(_BLOCK, n_paths, max(1, int(_BLOCK_JUMPS / max(jumps, 1.0))))
     z_paths = np.empty((width, _CHUNK))
     dw_time = np.empty((_CHUNK, width))
-    for lo in range(0, n_paths, _BLOCK):
-        hi = min(lo + _BLOCK, n_paths)
+    for lo in range(0, n_paths, width):
+        hi = min(lo + width, n_paths)
         nb = hi - lo
         ev_node, ev_path, ev_state = _jump_events(p, cfg, lo, hi)
         normals = [np.random.default_rng([cfg.seed, k, 1]) for k in range(lo, hi)]
@@ -320,6 +318,9 @@ def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
                 if j is not None:
                     rec_x[j, lo:hi] = x
                     rec_reg[j, lo:hi] = reg
+                    # the sum so far plus this node's half weight, 0 at node 0
+                    np.multiply(f, dt * disc[t] * 0.5 if node else 0.0, out=tmp)
+                    np.add(cost, tmp, out=rec_cost[j, lo:hi])
                 weight = dt * disc[t]  # trapezoid weight, halved at both ends
                 if node == 0 or node == n:
                     weight *= 0.5
@@ -333,22 +334,22 @@ def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
         costs[lo:hi] = cost
         tail_max = max(tail_max, float(tail.max()))
     _require_finite(costs)
-    return _EngineOut(costs=costs, tail_max=tail_max, x=rec_x, regime=rec_reg)
+    return _EngineOut(costs=costs, tail_max=tail_max, x=rec_x, regime=rec_reg,
+                      cost=rec_cost)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def simulate_controlled(p: ModelParams, sol: RiccatiSolution,
                         cfg: SimConfig) -> list:
     """Simulate cfg.n_paths closed-loop trajectories, one ControlledPath each.
 
     The paths take the optimal law u*(x, i) = -(phi(i) x + psi(i))/R(i) + h(i)
     through mc_cost's folded step, so the mean-reversion rate in regime i is
-    phi(i)/R(i); the engine records every state and regime, and u and the
-    running cost are derived afterwards, the cost as the sequential sum of
-    1/2 dt (g_{k-1} + g_k) with g = f e^{-r t}.  Deterministic per (cfg.seed,
-    path index): path k here equals path k of any run sharing the seed with
-    n_paths > k.  The paths are read-only columns of four (node x path)
-    matrices.
+    phi(i)/R(i).  The engine records every state, regime and running cost,
+    so a path's final disc_cost is its mc_cost sample bit for bit; u is
+    derived afterwards by evaluating the law (PolicyCoefficients) on the
+    recorded states.  Deterministic per (cfg.seed, path index): path k here
+    equals path k of any run sharing the seed with n_paths > k.  The paths
+    are read-only columns of four (node x path) matrices.
 
     Retains every grid value of every path, and refuses with ValueError,
     before allocating, a request that would retain more than _KEEP_BUDGET
@@ -360,32 +361,15 @@ def simulate_controlled(p: ModelParams, sol: RiccatiSolution,
         raise ValueError(f"simulation would retain {kept / 2**30:.3g} GiB of paths, "
                          f"over the {_KEEP_BUDGET / 2**30:g} GiB budget; "
                          "use fewer paths, a shorter horizon or a larger dt")
-    coeffs = policy_coefficients(sol, p)
-    n = cfg.n_steps
-    out = _run(p, coeffs, cfg, record=range(n + 1))
-    xs, regs = out.x, out.regime
-    us = np.empty_like(xs)
-    cost = np.empty_like(xs)
-    times = cfg.times()
-    disc = np.exp(-float(p.r) * times)
-    half_dt = 0.5 * cfg.dt
-    # tiles of _CHUNK nodes by _BLOCK paths bound the temporaries
-    for lo in range(0, cfg.n_paths, _BLOCK):
-        cols = slice(lo, lo + _BLOCK)
-        for c0 in range(0, n + 1, _CHUNK):
-            span = slice(c0, c0 + _CHUNK)
-            x, i = xs[span, cols], regs[span, cols]
-            u = us[span, cols]
-            u[...] = coeffs.slope[i] * x + coeffs.intercept[i]
-            g = 0.5 * (p.N[i] * (x - p.c[i]) ** 2 + p.R[i] * (u - p.h[i]) ** 2)
-            g *= disc[span, None]
-            acc = cost[span, cols]
-            acc[0] = (g_last + g[0]) * half_dt + cost[c0 - 1, cols] if c0 else 0.0
-            np.multiply(g[:-1] + g[1:], half_dt, out=acc[1:])
-            np.cumsum(acc, axis=0, out=acc)
-            g_last = g[-1]
-    _require_finite(cost[-1])
+    law = policy_coefficients(sol, p)
+    out = _run(p, law, cfg, record=range(cfg.n_steps + 1))
+    xs, regs, cost = out.x, out.regime, out.cost
     regs += 1  # 1-based labels, in place
+    times = cfg.times()
+    us = np.empty_like(xs)
+    for c0 in range(0, cfg.n_steps + 1, _CHUNK):  # bounds the law's temporaries
+        span = slice(c0, c0 + _CHUNK)
+        us[span] = law(xs[span], regs[span], times[span, None])
     for a in (times, xs, us, regs, cost):
         _ro(a)
     return [ControlledPath(times=times, x=xs[:, k], u=us[:, k], regime=regs[:, k],
@@ -481,8 +465,7 @@ def adjoint_residual(p: ModelParams, sol: RiccatiSolution, samples) -> float:
     if np.any((ii < 1) | (ii > p.m)):
         raise ValueError("regime index out of range")
     idx = ii - 1
-    coeffs = policy_coefficients(sol, p)
-    u = coeffs.slope[idx] * xs + coeffs.intercept[idx]
+    u = policy_coefficients(sol, p)(xs, ii, 0.0)
     qphi = p.gen.q @ phi
     qpsi = p.gen.q @ psi
     drift_y = phi[idx] * (u - p.theta[idx]) + xs * qphi[idx] + qpsi[idx]

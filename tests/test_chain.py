@@ -1,6 +1,7 @@
 """Chain simulation, grid sampling, and the discounted resolvent."""
 
 import bisect
+import math
 
 import numpy as np
 import pytest
@@ -97,6 +98,10 @@ def test_resolvent_identity_and_validation():
         discounted_resolvent(gen, 0.0, g)
     with pytest.raises(ValueError, match="length"):
         discounted_resolvent(gen, r, [1.0])
+    with pytest.raises(ValueError, match="finite"):
+        discounted_resolvent(gen, math.inf, g)
+    with pytest.raises(ValueError, match="g must be finite"):
+        discounted_resolvent(gen, r, [1.0, math.nan, 2.0])
 
 
 def test_resolvent_monotone_in_g():
@@ -150,3 +155,9 @@ def test_functional_mc_validation():
         discounted_functional_mc(gen, 0.1, [1.0, 1.0], 1, 0.0, 4, seed=0)
     with pytest.raises(ValueError, match="g must have length m=2"):
         discounted_functional_mc(gen, 0.1, [1.0, 1.0, 1.0], 1, 10.0, 4, seed=0)
+    with pytest.raises(ValueError, match="n_paths >= 2"):
+        discounted_functional_mc(gen, 0.1, [1.0, 1.0], 1, 10.0, 1, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        discounted_functional_mc(gen, math.inf, [1.0, 1.0], 1, 10.0, 4, seed=0)
+    with pytest.raises(ValueError, match="g must be finite"):
+        discounted_functional_mc(gen, 0.1, [1.0, math.nan], 1, 10.0, 4, seed=0)

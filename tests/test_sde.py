@@ -148,15 +148,51 @@ def test_block_and_chunk_invariance(p_bench, sol_bench, monkeypatch):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
+def test_one_path_blocks_match(p_bench, sol_bench, monkeypatch):
+    # a jump budget below one path's expected jumps leaves one path per block
+    fast = p_bench.replace(gen=Generator.two_state_symmetric(8.0))
+    cfg = SimConfig(dt=0.05, horizon=10.0, n_paths=5, seed=21, x0=1.0, i0=1)
+    cases = [(p, s, mc_cost(p, s, cfg)) for p, s in
+             ((p_bench, sol_bench), (fast, solve(fast)))]
+    widths = []
+    events = sde._jump_events
+
+    def spy(p, cfg, lo, hi):
+        widths.append(hi - lo)
+        return events(p, cfg, lo, hi)
+
+    monkeypatch.setattr(sde, "_jump_events", spy)
+    monkeypatch.setattr(sde, "_BLOCK_JUMPS", 1)
+    for p, s, est in cases:
+        assert mc_cost(p, s, cfg) == est
+    assert widths == [1] * 10
+
+
 def test_kept_paths_share_estimate_arithmetic(p_bench, sol_bench):
-    # simulate_controlled records the states the estimators integrate
+    # simulate_controlled records the states and running costs the estimators use
     cfg = SimConfig(dt=0.05, horizon=20.0, n_paths=50, seed=8, x0=1.0, i0=1)
     paths = simulate_controlled(p_bench, sol_bench, cfg)
     x_end = np.array([cp.x[-1] for cp in paths])
     ((_, decay, _),) = asymptotic_decay(p_bench, sol_bench, cfg, (cfg.horizon,))
     assert math.exp(-p_bench.r * cfg.n_steps * cfg.dt) * float(np.mean(x_end ** 2)) == decay
-    kept_cost = float(np.mean([cp.disc_cost[-1] for cp in paths]))
-    assert kept_cost == pytest.approx(mc_cost(p_bench, sol_bench, cfg).mean, rel=1e-12)
+    kept = np.array([cp.disc_cost[-1] for cp in paths])
+    assert np.array_equal(kept, sde._run(p_bench, policy_coefficients(sol_bench, p_bench),
+                                         cfg).costs)
+    assert float(np.mean(kept)) == mc_cost(p_bench, sol_bench, cfg).mean
+
+
+def test_kept_cost_matches_explicit_trapezoid(p_bench, sol_bench):
+    # the unfolded integrand on the kept x, u and regime checks the folded
+    # alpha, xstar and gamma tables the engine integrates
+    fast = p_bench.replace(gen=Generator.two_state_symmetric(5.0))
+    cfg = SimConfig(dt=0.05, horizon=20.0, n_paths=8, seed=3, x0=-2.0, i0=2)
+    for p, sol in ((p_bench, sol_bench), (fast, solve(fast))):
+        for cp in simulate_controlled(p, sol, cfg):
+            i = cp.regime - 1
+            g = 0.5 * (p.N[i] * (cp.x - p.c[i]) ** 2 + p.R[i] * (cp.u - p.h[i]) ** 2)
+            g *= np.exp(-p.r * cp.times)
+            trap = np.concatenate(([0.0], np.cumsum(0.5 * cfg.dt * (g[1:] + g[:-1]))))
+            np.testing.assert_allclose(cp.disc_cost, trap, rtol=1e-12, atol=0.0)
 
 
 def test_shifted_policy_fast_path_matches_callable(p_bench, sol_bench):
