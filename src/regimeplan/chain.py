@@ -20,6 +20,8 @@ import numpy as np
 
 from .model import Generator
 
+_BLOCK_JUMPS = 1 << 20  # most expected jumps on one path; sde sizes its blocks by it
+
 __all__ = [
     "RegimePath",
     "simulate_chain",
@@ -50,8 +52,7 @@ class RegimePath:
 
 def _jump_tables(gen: Generator):
     """Per-state exit rates and cumulative next-state distributions as plain lists."""
-    q = gen.q
-    m = q.shape[0]
+    q, m = gen.q, gen.m
     rates = [float(-q[i, i]) for i in range(m)]
     cums, targets = [], []
     for i in range(m):
@@ -110,18 +111,30 @@ def _walk(rates, cums, targets, i0, horizon, rng):
     return jt, st
 
 
-def simulate_chain(gen: Generator, i0: int, horizon: float, seed: int) -> RegimePath:
-    """Simulate one statistically exact chain path.
+def _walks(gen: Generator, i0: int, horizon: float, streams):
+    """One _walk from 1-based i0 per stream seed, each on its own default_rng.
 
-    Deterministic given (gen, i0, horizon, seed).  i0 is 1-based.
+    Raises ValueError, before any walk, unless i0 is in 1..m, the horizon is
+    positive and finite, and horizon x largest exit rate <= _BLOCK_JUMPS.
     """
     if not 1 <= i0 <= gen.m:
         raise ValueError(f"i0 must be in 1..{gen.m}")
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
-    rng = np.random.default_rng(seed)
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise ValueError("horizon must be positive and finite")
     rates, cums, targets = _jump_tables(gen)
-    jt, st = _walk(rates, cums, targets, i0 - 1, horizon, rng)
+    if horizon * max(rates) > _BLOCK_JUMPS:
+        raise ValueError(f"a path expects {horizon * max(rates):.3g} regime jumps, over the "
+                         f"{_BLOCK_JUMPS} budget; shorten the horizon or slow the chain")
+    return (_walk(rates, cums, targets, i0 - 1, horizon, np.random.default_rng(key))
+            for key in streams)
+
+
+def simulate_chain(gen: Generator, i0: int, horizon: float, seed: int) -> RegimePath:
+    """Simulate one statistically exact chain path.
+
+    Deterministic given (gen, i0, horizon, seed), i0 1-based; ValueError as _walks.
+    """
+    ((jt, st),) = _walks(gen, i0, horizon, [seed])
     st = np.asarray(st, dtype=np.int64)
     counts = np.zeros((gen.m, gen.m), dtype=np.int64)
     np.add.at(counts, (st[:-1], st[1:]), 1)
@@ -182,20 +195,13 @@ def discounted_functional_mc(gen: Generator, r: float, g, i0: int,
     Path k draws from the stream derived from (seed, k).  Returns
     (mean, std_error) with the sample standard deviation using ddof=1, so
     n_paths must be at least 2.  Raises ValueError unless r is positive and
-    finite and g finite.
+    finite and g finite, and as _walks does.
     """
     g = _functional_args(gen, r, g)
-    if not 1 <= i0 <= gen.m:
-        raise ValueError(f"i0 must be in 1..{gen.m}")
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
     if n_paths < 2:
         raise ValueError("discounted_functional_mc needs n_paths >= 2")
-    rates, cums, targets = _jump_tables(gen)
-    vals = np.empty(n_paths)
-    for kpath in range(n_paths):
-        rng = np.random.default_rng([seed, kpath])
-        jt, st = _walk(rates, cums, targets, i0 - 1, horizon, rng)
+    vals = []
+    for jt, st in _walks(gen, i0, horizon, ([seed, k] for k in range(n_paths))):
         disc = np.exp(-r * np.append(jt, horizon))
-        vals[kpath] = g[st] @ (disc[:-1] - disc[1:]) / r
-    return _mean_se(vals)
+        vals.append(g[st] @ (disc[:-1] - disc[1:]) / r)
+    return _mean_se(np.array(vals))

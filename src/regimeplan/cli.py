@@ -381,14 +381,9 @@ def cmd_check(args, out_dir: Path) -> int:
         items.append(("riccati solve", False, str(exc)))
 
     if sol is None:
-        items.append(("dominance certificate", None, "needs a solved system"))
         items.append(("adjoint residual", None, "needs a solved system"))
         items.append(("hamiltonian minimizer", None, "needs a solved system"))
     else:
-        margins = sol.certificate.margins()
-        items.append(("dominance certificate", bool(np.all(margins > 0)),
-                      f"min margin {float(np.min(margins)):.6f}"))
-
         rng = np.random.default_rng(0)
         samples = [(float(x), int(i)) for x, i in
                    zip(rng.uniform(-20.0, 20.0, 1000),

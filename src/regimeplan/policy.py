@@ -43,15 +43,15 @@ class PolicyCoefficients:
     """Per-regime affine coefficients of the feedback law u = slope x + intercept.
 
     Calling it evaluates the law as a policy (x, i, t) -> u with 1-based
-    regimes i; the Monte Carlo engine recognises the type and folds the law
-    into per-regime tables instead of calling it at every step.
+    regimes i in 1..m; the Monte Carlo engine recognises the type and folds
+    the law into per-regime tables instead of calling it at every step.
     """
 
     slope: np.ndarray
     intercept: np.ndarray
 
     def __call__(self, x, i, t):
-        idx = np.asarray(i, dtype=np.int64) - 1
+        idx = _index(i, self.slope.shape[0])
         return self.slope[idx] * np.asarray(x, dtype=float) + self.intercept[idx]
 
 
@@ -61,6 +61,14 @@ class ValueReport:
 
     grid: np.ndarray
     table: np.ndarray
+
+
+def _index(i, m: int):
+    """0-based index of 1-based regime(s) i; ValueError for any outside 1..m."""
+    idx = np.asarray(i, dtype=np.int64) - 1
+    if np.any((idx < 0) | (idx >= m)):
+        raise ValueError(f"regime index must be in 1..{m}")
+    return idx
 
 
 def default_grid(lo: float = -10.0, hi: float = 10.0, points: int = 401) -> np.ndarray:
@@ -75,14 +83,14 @@ def hamiltonian(x: float, i: int, u: float, y: float, z: float,
     H = (u - theta(i)) y + sigma(i) z
         + 1/2 [N(i)(x - c(i))^2 + R(i)(u - h(i))^2] - r x y.
     """
-    j = i - 1
+    j = _index(i, p.m)
     running = 0.5 * (p.N[j] * (x - p.c[j]) ** 2 + p.R[j] * (u - p.h[j]) ** 2)
     return float((u - p.theta[j]) * y + p.sigma[j] * z + running - p.r * x * y)
 
 
 def hamiltonian_minimizer(i: int, y: float, p: ModelParams) -> float:
     """argmin over u of the Hamiltonian: u = h(i) - y / R(i)."""
-    j = i - 1
+    j = _index(i, p.m)
     return float(p.h[j] - y / p.R[j])
 
 
@@ -102,7 +110,7 @@ def value_constant(sol: RiccatiSolution, p: ModelParams) -> np.ndarray:
 
 
 def value_function(x: float, i: int, sol: RiccatiSolution, p: ModelParams) -> float:
-    j = i - 1
+    j = _index(i, p.m)
     w = value_constant(sol, p)
     return float(0.5 * sol.phi[j] * x * x + sol.psi[j] * x + w[j])
 

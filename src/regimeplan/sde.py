@@ -34,15 +34,16 @@ jump times become events at the first grid node at or after each jump, and
 its normals are drawn _CHUNK at a time per path (equal, bit for bit, to one
 full draw) and turned time-major.  A block holds all its paths' jumps, so
 it narrows below _BLOCK paths where horizon x (largest exit rate) would
-bring more than _BLOCK_JUMPS expected jumps; an estimate's memory is thus
-bounded at any horizon and switching rate, and grows by one float per path.
-The engine keeps per-path reductions and, at the grid nodes a caller
-lists, every path's state, regime and running cost: asymptotic_decay lists
-its checkpoints, and simulate_controlled lists every node and derives u
-through the law, so kept paths take the same step and the same quadrature
-as the estimates.  Every per-path operation is elementwise and runs in grid
-order, and all reductions run over arrays in global path order, so a given
-SimConfig produces bit-identical results whatever the block and chunk sizes.
+bring more than chain._BLOCK_JUMPS expected jumps, and the chain walk
+refuses a path that alone expects more; memory thus grows by one float per
+path.  The engine keeps per-path reductions and, at the grid nodes a caller
+lists and within _KEEP_BUDGET bytes, every path's state, regime and running
+cost: asymptotic_decay lists its checkpoints, and simulate_controlled lists
+every node and derives u through the law, so kept paths take the same step
+and the same quadrature as the estimates.  Every per-path operation is
+elementwise and runs in grid order, and all reductions run over arrays in
+global path order, so a given SimConfig produces bit-identical results
+whatever the block and chunk sizes.
 """
 
 import math
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _jump_tables, _mean_se, _walk
+from . import chain
 from .model import ModelParams
 from .policy import PolicyCoefficients, policy_coefficients
 from .riccati import RiccatiSolution
@@ -68,9 +69,8 @@ __all__ = [
 
 _BLOCK = 2048  # most paths per vectorized block
 _CHUNK = 512   # grid nodes per time chunk; with _BLOCK bounds transient memory
-_BLOCK_JUMPS = 1 << 20  # expected jump events per block, ~100 B each
-_KEEP_BUDGET = 1 << 30  # bytes simulate_controlled may retain
-_KEPT_PER_NODE = 32     # bytes per path and node: x, u, regime, disc_cost
+_KEEP_BUDGET = 1 << 30  # bytes a recording may retain
+_KEPT_PER_NODE = 32     # bytes per path and node: x, regime, cost and a derived u
 
 
 @dataclass(frozen=True)
@@ -182,12 +182,9 @@ def _jump_events(p: ModelParams, cfg: SimConfig, lo: int, hi: int):
     chain.regimes_on_grid; when a path jumps more than once before the next
     node only its last state is kept.
     """
-    rates, cums, targets = _jump_tables(p.gen)
-    horizon = cfg.n_steps * cfg.dt
     times, states, counts = [], [], []
-    for k in range(lo, hi):
-        rng = np.random.default_rng([cfg.seed, k, 0])
-        jt, st = _walk(rates, cums, targets, cfg.i0 - 1, horizon, rng)
+    for jt, st in chain._walks(p.gen, cfg.i0, cfg.n_steps * cfg.dt,
+                               ([cfg.seed, k, 0] for k in range(lo, hi))):
         times += jt[1:]
         states += st[1:]
         counts.append(len(jt) - 1)
@@ -233,17 +230,15 @@ def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
     states, the matching array of 1-based regimes and the scalar time, and
     returning something that broadcasts to the states' shape; its u refills
     the B and gamma rows, from the theta, h and R rows carried after them.
-    Both kinds share one node body.  At the j-th
-    grid node listed in record (distinct nodes) every path's state, 0-based
-    regime and running cost are written to row j of three time-major
-    matrices; the running cost is the trapezoid over [0, t_node], so 0 at
-    node 0 and each path's final cost at node n_steps.  Raises ValueError if
-    a path's cost is not finite.
+    Both kinds share one node body.  At the j-th grid node listed in record
+    (distinct nodes) every path's state, 0-based regime and running cost are
+    written to row j of three time-major matrices; the running cost is the
+    trapezoid over [0, t_node], so 0 at node 0 and each path's final cost at
+    node n_steps.  Raises ValueError for a record over _KEEP_BUDGET bytes
+    (before reading it), a path the chain walk refuses or a non-finite cost.
     """
     if not p.r > 0:
         raise ValueError("r not positive")
-    if not 1 <= cfg.i0 <= p.m:
-        raise ValueError(f"i0 out of range: {cfg.i0}")
     n_paths = cfg.n_paths
     n = cfg.n_steps
     dt = cfg.dt
@@ -258,6 +253,10 @@ def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
                            p.theta, p.h, p.R])
     i0 = cfg.i0 - 1
     tail_from = (3 * n) // 4
+    kept = len(record) * n_paths * _KEPT_PER_NODE
+    if kept > _KEEP_BUDGET:
+        raise ValueError(f"simulation would retain {kept / 2**30:.3g} GiB of paths, over "
+                         f"the {_KEEP_BUDGET / 2**30:g} GiB budget; use fewer paths or nodes")
     rows = {int(k): j for j, k in enumerate(record)}
     rec_x = np.empty((len(rows), n_paths))
     rec_reg = np.empty((len(rows), n_paths), dtype=np.int64)
@@ -265,7 +264,7 @@ def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
     costs = np.empty(n_paths)
     tail_max = 0.0
     jumps = n * dt * float(np.max(-np.diag(p.gen.q)))
-    width = min(_BLOCK, n_paths, max(1, int(_BLOCK_JUMPS / max(jumps, 1.0))))
+    width = min(_BLOCK, n_paths, max(1, int(chain._BLOCK_JUMPS / max(jumps, 1.0))))
     z_paths = np.empty((width, _CHUNK))
     dw_time = np.empty((_CHUNK, width))
     for lo in range(0, n_paths, width):
@@ -351,16 +350,10 @@ def simulate_controlled(p: ModelParams, sol: RiccatiSolution,
     equals path k of any run sharing the seed with n_paths > k.  The paths
     are read-only columns of four (node x path) matrices.
 
-    Retains every grid value of every path, and refuses with ValueError,
-    before allocating, a request that would retain more than _KEEP_BUDGET
-    bytes; for large-sample estimates use mc_cost, which streams paths and
-    keeps only reductions.  Raises ValueError if a running cost is not finite.
+    Retains every grid value of every path, so _run refuses a request over
+    _KEEP_BUDGET bytes; for large-sample estimates use mc_cost, which streams
+    paths and keeps only reductions.  Raises ValueError as _run does.
     """
-    kept = cfg.n_paths * (cfg.n_steps + 1) * _KEPT_PER_NODE
-    if kept > _KEEP_BUDGET:
-        raise ValueError(f"simulation would retain {kept / 2**30:.3g} GiB of paths, "
-                         f"over the {_KEEP_BUDGET / 2**30:g} GiB budget; "
-                         "use fewer paths, a shorter horizon or a larger dt")
     law = policy_coefficients(sol, p)
     out = _run(p, law, cfg, record=range(cfg.n_steps + 1))
     xs, regs, cost = out.x, out.regime, out.cost
@@ -397,7 +390,7 @@ def mc_cost(p: ModelParams, sol_or_policy, cfg: SimConfig) -> MCEstimate:
     if not callable(policy):
         policy = policy_coefficients(policy, p)
     out = _run(p, policy, cfg)
-    mean, se = _mean_se(out.costs)
+    mean, se = chain._mean_se(out.costs)
     t_end = cfg.n_steps * cfg.dt
     bound = math.exp(-p.r * t_end) * out.tail_max / p.r
     return MCEstimate(mean=mean, std_error=se, n=cfg.n_paths,
@@ -413,7 +406,7 @@ def asymptotic_decay(p: ModelParams, sol: RiccatiSolution, cfg: SimConfig,
     matched to the nearest node; the discount uses the node time).  With
     adjoint=True the statistic is taken on Y_T = phi(a_T) X_T + psi(a_T)
     instead of X_T.  Returns [(T, estimate, standard error), ...].  Raises
-    ValueError if a statistic overflows.
+    ValueError if a statistic overflows, and as _run does.
     """
     if cfg.n_paths < 2:
         raise ValueError("asymptotic_decay needs n_paths >= 2")
@@ -438,7 +431,7 @@ def asymptotic_decay(p: ModelParams, sol: RiccatiSolution, cfg: SimConfig,
         else:
             vals = xs ** 2
         w = math.exp(-p.r * k * cfg.dt)
-        mean, se = _mean_se(vals)
+        mean, se = chain._mean_se(vals)
         result.append((t, w * mean, w * se))
     return result
 
@@ -462,8 +455,6 @@ def adjoint_residual(p: ModelParams, sol: RiccatiSolution, samples) -> float:
     ii = np.array([int(s[1]) for s in samples])
     if xs.size == 0:
         raise ValueError("samples must be nonempty")
-    if np.any((ii < 1) | (ii > p.m)):
-        raise ValueError("regime index out of range")
     idx = ii - 1
     u = policy_coefficients(sol, p)(xs, ii, 0.0)
     qphi = p.gen.q @ phi

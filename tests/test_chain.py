@@ -40,6 +40,11 @@ def test_input_validation():
         simulate_chain(gen, 3, 10.0, seed=0)
     with pytest.raises(ValueError, match="horizon"):
         simulate_chain(gen, 1, 0.0, seed=0)
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        simulate_chain(gen, 1, math.inf, seed=0)
+    # 2 x 10^6 expected jumps on one path: refused before walking
+    with pytest.raises(ValueError, match="regime jumps"):
+        simulate_chain(Generator.two_state_symmetric(2e4), 1, 100.0, seed=0)
 
 
 def test_state_at_matches_grid_sampling():
@@ -153,6 +158,11 @@ def test_functional_mc_validation():
         discounted_functional_mc(gen, 0.1, [1.0, 1.0], 1, 10.0, 0, seed=0)
     with pytest.raises(ValueError, match="horizon"):
         discounted_functional_mc(gen, 0.1, [1.0, 1.0], 1, 0.0, 4, seed=0)
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        discounted_functional_mc(gen, 0.1, [1.0, 1.0], 1, math.inf, 4, seed=0)
+    with pytest.raises(ValueError, match="regime jumps"):
+        discounted_functional_mc(Generator.two_state_symmetric(2e4), 0.1, [1.0, 1.0],
+                                 1, 100.0, 4, seed=0)
     with pytest.raises(ValueError, match="g must have length m=2"):
         discounted_functional_mc(gen, 0.1, [1.0, 1.0, 1.0], 1, 10.0, 4, seed=0)
     with pytest.raises(ValueError, match="n_paths >= 2"):

@@ -211,6 +211,15 @@ def test_simulate_refuses_oversized_request(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_simulate_refuses_stiff_chain(tmp_path, capsys):
+    # 5 x 10^6 expected jumps on each path: refused by the chain walk
+    cfg = write_config(tmp_path, Q=[-1e4, 1e4, 1e4, -1e4])
+    assert run(["simulate", "--config", cfg, "--paths", "2", "--dt", "0.1",
+                "--horizon", "500", "--out", str(tmp_path), "--label", "stiff"]) == 2
+    assert "regime jumps" in capsys.readouterr().err
+    assert [f.name for f in (tmp_path / "simulate" / "stiff").iterdir()] == ["manifest.json"]
+
+
 def test_simulate_rejects_non_finite_input(tmp_path, capsys):
     for k, args in enumerate((["--x0", "nan"], ["--x0", "inf"], ["--horizon", "inf"])):
         assert run(["simulate", *args, "--out", str(tmp_path), "--label", str(k)]) == 2
@@ -243,8 +252,7 @@ def test_simulate_zero_sigma_config(tmp_path):
 def test_check_benchmark_passes(tmp_path, capsys):
     assert run(["check", "--out", str(tmp_path), "--label", "ok"]) == 0
     out = capsys.readouterr().out
-    for name in ("parameters", "riccati solve",
-                 "dominance certificate", "adjoint residual",
+    for name in ("parameters", "riccati solve", "adjoint residual",
                  "hamiltonian minimizer"):
         assert f"PASS {name}" in out
     assert "FAIL" not in out

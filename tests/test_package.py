@@ -60,3 +60,22 @@ def test_only_cli_writes_files():
         if any(isinstance(node, ast.Call) and _writes_file(node) for node in ast.walk(tree)):
             writers.add(name)
     assert sorted(writers) == ["regimeplan.cli"]
+
+
+def test_only_chain_walks():
+    # the regime walk, its tables and their checks live in chain alone
+    users = set()
+    for name in MODULES:
+        tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                found = [node.id]
+            elif isinstance(node, ast.Attribute):
+                found = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                found = [alias.name for alias in node.names]
+            else:
+                continue
+            if {"_walk", "_jump_tables"} & set(found):
+                users.add(name)
+    assert sorted(users) == ["regimeplan.chain"]

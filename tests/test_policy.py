@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from regimeplan import (
+    PolicyCoefficients,
     default_grid,
     hamiltonian,
     hamiltonian_minimizer,
@@ -98,3 +99,20 @@ def test_value_curvature(p_bench, sol_bench):
 def test_default_grid_override():
     g = default_grid(-2.0, 2.0, 5)
     assert np.array_equal(g, [-2.0, -1.0, 0.0, 1.0, 2.0])
+
+
+def test_regime_out_of_range_raises(p_bench, sol_bench):
+    # neither 0 (which would wrap to regime m) nor m + 1 names a regime
+    coeffs = PolicyCoefficients(slope=np.array([-1.0, -2.0]),
+                                intercept=np.array([1.0, 2.0]))
+    for i in (0, p_bench.m + 1):
+        with pytest.raises(ValueError, match="regime index must be in 1..2"):
+            value_function(0.0, i, sol_bench, p_bench)
+        with pytest.raises(ValueError, match="regime index must be in 1..2"):
+            hamiltonian(0.0, i, 1.0, 0.5, 0.0, p_bench)
+        with pytest.raises(ValueError, match="regime index must be in 1..2"):
+            hamiltonian_minimizer(i, 0.5, p_bench)
+        with pytest.raises(ValueError, match="regime index must be in 1..2"):
+            coeffs(1.0, i, 0.0)
+        with pytest.raises(ValueError, match="regime index must be in 1..2"):
+            coeffs(np.zeros(3), np.array([1, i, 2]), 0.0)

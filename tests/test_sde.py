@@ -16,11 +16,13 @@ from regimeplan import (
     mc_cost,
     policy_coefficients,
     shifted_policy,
+    simulate_chain,
     simulate_controlled,
     solve,
     value_function,
 )
-from regimeplan import sde
+from regimeplan import chain, sde
+from regimeplan.chain import regimes_on_grid
 from regimeplan.riccati import RiccatiSolution
 
 
@@ -149,7 +151,7 @@ def test_block_and_chunk_invariance(p_bench, sol_bench, monkeypatch):
 
 
 def test_one_path_blocks_match(p_bench, sol_bench, monkeypatch):
-    # a jump budget below one path's expected jumps leaves one path per block
+    # a jump budget of one path's expected jumps leaves one path per block
     fast = p_bench.replace(gen=Generator.two_state_symmetric(8.0))
     cfg = SimConfig(dt=0.05, horizon=10.0, n_paths=5, seed=21, x0=1.0, i0=1)
     cases = [(p, s, mc_cost(p, s, cfg)) for p, s in
@@ -162,10 +164,27 @@ def test_one_path_blocks_match(p_bench, sol_bench, monkeypatch):
         return events(p, cfg, lo, hi)
 
     monkeypatch.setattr(sde, "_jump_events", spy)
-    monkeypatch.setattr(sde, "_BLOCK_JUMPS", 1)
     for p, s, est in cases:
+        rate = float(np.max(-np.diag(p.gen.q)))
+        monkeypatch.setattr(chain, "_BLOCK_JUMPS", math.ceil(cfg.horizon * rate))
         assert mc_cost(p, s, cfg) == est
     assert widths == [1] * 10
+
+
+def test_jumps_land_where_regimes_on_grid_puts_them(p_bench, sol_bench):
+    # the engine's jump placement against the chain's own grid sampling
+    fast = p_bench.replace(gen=Generator.two_state_symmetric(10.0))
+    matched = 0
+    for p, sol in ((p_bench, sol_bench), (fast, solve(fast))):
+        for dt in (0.1, 0.03, 0.01):
+            cfg = SimConfig(dt=dt, horizon=10.0, n_paths=12, seed=17, x0=0.0, i0=2)
+            times = cfg.times()
+            for k, cp in enumerate(simulate_controlled(p, sol, cfg)):
+                path = simulate_chain(p.gen, cfg.i0, cfg.n_steps * dt, [cfg.seed, k, 0])
+                assert np.array_equal(cp.regime,
+                                      regimes_on_grid(path.jump_times, path.states, times))
+                matched += 1
+    assert matched == 72
 
 
 def test_kept_paths_share_estimate_arithmetic(p_bench, sol_bench):
@@ -217,6 +236,21 @@ def test_simulate_refuses_retention_over_budget(p_bench, sol_bench):
     cfg = SimConfig(dt=1e-4, horizon=1e5, n_paths=1, seed=0, x0=0.0, i0=1)
     with pytest.raises(ValueError, match="budget"):
         simulate_controlled(p_bench, sol_bench, cfg)
+
+
+def test_decay_refuses_retention_over_budget(p_bench, sol_bench):
+    # 10^5 paths x 2000 checkpoints would keep ~6 GiB; refused before allocating
+    cfg = SimConfig(dt=0.1, horizon=200.0, n_paths=100_000, seed=0, x0=0.0, i0=1)
+    with pytest.raises(ValueError, match="budget"):
+        asymptotic_decay(p_bench, sol_bench, cfg, cfg.times()[1:])
+
+
+def test_stiff_chain_refused(p_bench, sol_bench):
+    # one path would expect 10^7 regime jumps
+    stiff = p_bench.replace(gen=Generator.two_state_symmetric(1e5))
+    cfg = SimConfig(dt=0.1, horizon=100.0, n_paths=2, seed=0, x0=0.0, i0=1)
+    with pytest.raises(ValueError, match="regime jumps"):
+        mc_cost(stiff, sol_bench, cfg)
 
 
 def test_path_invariants(p_bench, sol_bench):
