@@ -5,7 +5,9 @@ invocation writes its artifacts under out/<command>/<label>/ (label defaults
 to a UTC timestamp) together with a manifest.json recording the command,
 config path, seed, tool version, output directory and wall-clock duration.
 Exit codes: 0 success, 1 failed check or reproduction mismatch, 2 invalid
-configuration or usage, 3 solver non-convergence.
+configuration or usage, 3 solver non-convergence.  Commands raise; only
+:func:`main` maps exceptions to exit codes, ValueError (ConfigError included)
+to 2 and NonConvergence to 3.
 """
 
 import argparse
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from ._svg import line_plot
-from .model import ConfigError, ModelParams, load_params, validate_params
+from .model import ModelParams, load_params, validate_params
 from .policy import (
     default_grid,
     hamiltonian,
@@ -48,15 +50,6 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
-
-
-class CliError(Exception):
-    """Terminates the command with a diagnostic and a specific exit code."""
-
-    def __init__(self, code: int, message: str) -> None:
-        super().__init__(message)
-        self.code = code
-        self.message = message
 
 
 @dataclass(frozen=True)
@@ -87,19 +80,7 @@ def _timestamp() -> str:
 def _load(args) -> ModelParams:
     if args.config is None:
         return benchmark_params()
-    try:
-        return load_params(args.config)
-    except ConfigError as exc:
-        raise CliError(EXIT_CONFIG, str(exc))
-
-
-def _solve_checked(p: ModelParams):
-    try:
-        return solve(p)
-    except NonConvergence as exc:
-        raise CliError(EXIT_SOLVER, f"solver did not converge: {exc}")
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, str(exc))
+    return load_params(args.config)
 
 
 def _value_token(param: str, value) -> str:
@@ -123,11 +104,11 @@ def _parse_sweep_values(param: str, text):
             else:
                 values.append(tuple(float(v) for v in token.split(":")))
         except ValueError:
-            raise CliError(EXIT_CONFIG, f"invalid sweep value: {token!r}")
+            raise ValueError(f"invalid sweep value: {token!r}") from None
         if not np.all(np.isfinite(values[-1])):
-            raise CliError(EXIT_CONFIG, f"sweep value not finite: {token!r}")
+            raise ValueError(f"sweep value not finite: {token!r}")
     if not values:
-        raise CliError(EXIT_CONFIG, "no sweep values given")
+        raise ValueError("no sweep values given")
     return values
 
 
@@ -138,9 +119,9 @@ def _parse_grid(text):
         lo_s, hi_s, n_s = text.split(":")
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError:
-        raise CliError(EXIT_CONFIG, f"invalid grid spec: {text!r} (want lo:hi:points)")
+        raise ValueError(f"invalid grid spec: {text!r} (want lo:hi:points)") from None
     if not (hi > lo and np.isfinite(hi - lo) and n >= 2):
-        raise CliError(EXIT_CONFIG, f"invalid grid spec: {text!r}")
+        raise ValueError(f"invalid grid spec: {text!r}")
     return default_grid(lo, hi, n)
 
 
@@ -253,17 +234,14 @@ def _sweep_rows(p: ModelParams, param: str, values):
     """Solve p with each value of one swept quantity; one dict per value."""
     rows = []
     for value in values:
-        try:
-            ps = sweep_params(p, param, value)
-        except ValueError as exc:
-            raise CliError(EXIT_CONFIG, str(exc))
+        ps = sweep_params(p, param, value)
         rows.append({
             "param": param,
             "value": value,
             "token": _value_token(param, value),
             "label": sweep_value_label(param, value),
             "params": ps,
-            "sol": _solve_checked(ps),
+            "sol": solve(ps),
         })
     return rows
 
@@ -281,7 +259,7 @@ def table_rows():
 
 def cmd_solve(args, out_dir: Path) -> int:
     p = _load(args)
-    sol = _solve_checked(p)
+    sol = solve(p)
     coeffs = policy_coefficients(sol, p)
     _write_solution_set(out_dir, sol, coeffs)
     res = max(float(np.max(np.abs(sol.residual_phi))),
@@ -299,8 +277,8 @@ def cmd_sweep(args, out_dir: Path) -> int:
     values = _parse_sweep_values(args.param, args.values)
     grid = _parse_grid(args.grid)
     rows = _sweep_rows(p, args.param, values)
-    _write_table(out_dir / "table.csv", rows, p.m)
     reports = [value_report(row["sol"], row["params"], grid) for row in rows]
+    _write_table(out_dir / "table.csv", rows, p.m)
     for i in range(p.m):
         _write_curves(out_dir / f"value_curves_regime_{i + 1}.csv",
                       out_dir / f"value_regime_{i + 1}.svg", grid,
@@ -320,7 +298,7 @@ def cmd_sweep(args, out_dir: Path) -> int:
 def cmd_value(args, out_dir: Path) -> int:
     p = _load(args)
     grid = _parse_grid(args.grid)
-    sol = _solve_checked(p)
+    sol = solve(p)
     rep = value_report(sol, p, grid)
     _write_curves(out_dir / "value.csv", out_dir / "value.svg", grid,
                   _regime_curves(rep), title="value function", ylabel="v(x, i)")
@@ -333,17 +311,14 @@ def cmd_value(args, out_dir: Path) -> int:
 
 def cmd_simulate(args, out_dir: Path) -> int:
     p = _load(args)
-    sol = _solve_checked(p)
-    try:
-        cfg = SimConfig(dt=args.dt, horizon=args.horizon, n_paths=args.paths,
-                        seed=args.seed, x0=args.x0, i0=args.i0)
-        # per-path streams are keyed by (seed, path index), so the first
-        # path files are exactly the first paths of the full run
-        paths = simulate_controlled(
-            p, sol, replace(cfg, n_paths=min(args.paths, _MAX_PATH_FILES)))
-        est = mc_cost(p, sol, cfg) if args.paths >= 2 else None
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, str(exc))
+    sol = solve(p)
+    cfg = SimConfig(dt=args.dt, horizon=args.horizon, n_paths=args.paths,
+                    seed=args.seed, x0=args.x0, i0=args.i0)
+    # per-path streams are keyed by (seed, path index), so the first
+    # path files are exactly the first paths of the full run
+    paths = simulate_controlled(
+        p, sol, replace(cfg, n_paths=min(args.paths, _MAX_PATH_FILES)))
+    est = mc_cost(p, sol, cfg) if args.paths >= 2 else None
     for k, path in enumerate(paths):
         _write_path(path, out_dir / f"path_{k + 1:03d}.csv",
                     out_dir / "simulation.svg" if k == 0 else None,
@@ -425,17 +400,14 @@ def cmd_check(args, out_dir: Path) -> int:
 
 def cmd_reproduce(args, out_dir: Path) -> int:
     if args.config is not None:
-        raise CliError(EXIT_CONFIG,
-                       "reproduce uses the built-in benchmark configuration")
+        raise ValueError("reproduce uses the built-in benchmark configuration")
     expected = expected_values()
     tol = float(expected["tolerance"])
-    try:
-        sim_cfg = SimConfig(dt=0.01, horizon=10.0, n_paths=1, seed=args.seed,
-                            x0=0.0, i0=1)
-        mc_cfg = replace(sim_cfg, dt=0.02, horizon=150.0, n_paths=4000)
-        mc_cfg2 = replace(mc_cfg, dt=0.04)
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, str(exc))
+    # built before any work, so a bad seed leaves only the manifest
+    sim_cfg = SimConfig(dt=0.01, horizon=10.0, n_paths=1, seed=args.seed,
+                        x0=0.0, i0=1)
+    mc_cfg = replace(sim_cfg, dt=0.02, horizon=150.0, n_paths=4000)
+    mc_cfg2 = replace(mc_cfg, dt=0.04)
 
     p, sol, coeffs = benchmark_solution()
     _write_solution_set(out_dir, sol, coeffs)
@@ -486,8 +458,8 @@ def cmd_reproduce(args, out_dir: Path) -> int:
         key = (entry["param"], _value_token(entry["param"], entry["value"]))
         row = computed.get(key)
         if row is None:
-            raise CliError(EXIT_CHECK,
-                           f"expected table row {key} was not computed")
+            print(f"error: expected table row {key} was not computed", file=sys.stderr)
+            return EXIT_CHECK
         row_cells = [(f"{row['label']} {name}({i + 1})", float(entry[name][i]),
                       float(getattr(row["sol"], name)[i]))
                      for i in range(p.m) for name in ("phi", "psi")]
@@ -602,9 +574,12 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code = _COMMANDS[args.command](args, out_dir)
-    except CliError as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
-        code = exc.code
+    except NonConvergence as exc:
+        print(f"error: solver did not converge: {exc}", file=sys.stderr)
+        code = EXIT_SOLVER
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_CONFIG
     finally:
         manifest = RunManifest(
             command=args.command,

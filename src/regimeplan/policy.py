@@ -116,13 +116,20 @@ def value_function(x: float, i: int, sol: RiccatiSolution, p: ModelParams) -> fl
 
 
 def value_report(sol: RiccatiSolution, p: ModelParams, grid=None) -> ValueReport:
-    """Tabulate v on a grid (default 401 points over [-10, 10])."""
+    """Tabulate v on a grid (default 401 points over [-10, 10]).
+
+    Raises ValueError if a table entry is not finite, as on a grid so wide
+    that x^2 overflows.
+    """
     if grid is None:
         grid = default_grid()
     grid = np.array(grid, dtype=float)
     w = value_constant(sol, p)
-    table = (0.5 * sol.phi[None, :] * grid[:, None] ** 2
-             + sol.psi[None, :] * grid[:, None] + w[None, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = (0.5 * sol.phi[None, :] * grid[:, None] ** 2
+                 + sol.psi[None, :] * grid[:, None] + w[None, :])
+    if not np.all(np.isfinite(table)):
+        raise ValueError("value table is not finite on this grid; narrow the grid")
     grid.setflags(write=False)
     table.setflags(write=False)
     return ValueReport(grid=grid, table=table)

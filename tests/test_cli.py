@@ -108,8 +108,12 @@ def test_nonconvergence_exit_3(tmp_path, capsys, monkeypatch):
         raise NonConvergence("no progress", residual=1.0)
 
     monkeypatch.setattr(cli, "solve", fake)
-    assert run(["solve", "--out", str(tmp_path)]) == 3
-    assert "did not converge" in capsys.readouterr().err
+    for label, args in [("solve", ["solve"]), ("sweep", ["sweep", "--param", "r"]),
+                        ("value", ["value"]), ("simulate", ["simulate"]),
+                        ("reproduce", ["reproduce"])]:
+        assert run(args + ["--out", str(tmp_path), "--label", label]) == 3, label
+        assert "did not converge" in capsys.readouterr().err, label
+        assert [f.name for f in (tmp_path / args[0] / label).iterdir()] == ["manifest.json"]
 
 
 def test_sweep_r_table(tmp_path):
@@ -140,11 +144,13 @@ def test_sweep_bad_values_exit_2(tmp_path, capsys):
     assert run(["sweep", "--param", "r", "--values", "a,b",
                 "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
-    for values in ("nan:1", "inf:1"):
-        assert run(["sweep", "--param", "sigma", "--values", values,
-                    "--out", str(tmp_path), "--label", values]) == 2
+    # the overflowing grid fails in the value tables, before table.csv is written
+    for label, extra in [("nan:1", ["--values", "nan:1"]), ("inf:1", ["--values", "inf:1"]),
+                         ("grid", ["--grid=-1e160:1e160:3"])]:
+        assert run(["sweep", "--param", "sigma", *extra,
+                    "--out", str(tmp_path), "--label", label]) == 2
         assert "not finite" in capsys.readouterr().err
-        assert [f.name for f in (tmp_path / "sweep" / values).iterdir()] == ["manifest.json"]
+        assert [f.name for f in (tmp_path / "sweep" / label).iterdir()] == ["manifest.json"]
 
 
 def test_value_grid(tmp_path, capsys):
@@ -160,9 +166,12 @@ def test_value_grid(tmp_path, capsys):
 
 
 def test_value_rejects_non_finite_grid(tmp_path, capsys):
-    assert run(["value", "--grid=0:inf:5", "--out", str(tmp_path), "--label", "inf"]) == 2
-    assert "invalid grid spec" in capsys.readouterr().err
-    assert [f.name for f in (tmp_path / "value" / "inf").iterdir()] == ["manifest.json"]
+    # the second grid is finite, but x^2 overflows in the value table
+    for label, grid, message in [("inf", "0:inf:5", "invalid grid spec"),
+                                 ("huge", "-1e160:1e160:3", "value table is not finite")]:
+        assert run(["value", f"--grid={grid}", "--out", str(tmp_path), "--label", label]) == 2
+        assert message in capsys.readouterr().err
+        assert [f.name for f in (tmp_path / "value" / label).iterdir()] == ["manifest.json"]
 
 
 def test_simulate_artifacts(tmp_path):

@@ -79,3 +79,16 @@ def test_only_chain_walks():
             if {"_walk", "_jump_tables"} & set(found):
                 users.add(name)
     assert sorted(users) == ["regimeplan.chain"]
+
+
+def test_only_main_maps_exit_codes():
+    # commands raise; cli.main alone turns ValueError into 2 and NonConvergence into 3
+    users = set()
+    for name in MODULES:
+        tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                        and node.id in ("EXIT_CONFIG", "EXIT_SOLVER")):
+                    users.add(f"{name}.{getattr(top, 'name', '<module>')}")
+    assert sorted(users) == ["regimeplan.cli.main"]

@@ -101,6 +101,12 @@ def test_default_grid_override():
     assert np.array_equal(g, [-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
+def test_value_report_rejects_non_finite_table(p_bench, sol_bench):
+    # x^2 overflows at 1e160; the overflow warning must not leak either
+    with pytest.raises(ValueError, match="value table is not finite"):
+        value_report(sol_bench, p_bench, default_grid(-1e160, 1e160, 3))
+
+
 def test_regime_out_of_range_raises(p_bench, sol_bench):
     # neither 0 (which would wrap to regime m) nor m + 1 names a regime
     coeffs = PolicyCoefficients(slope=np.array([-1.0, -2.0]),
