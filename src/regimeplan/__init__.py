@@ -29,8 +29,6 @@ from .policy import (
     PolicyCoefficients,
     ValueReport,
     default_grid,
-    hamiltonian,
-    hamiltonian_minimizer,
     policy_coefficients,
     value_constant,
     value_function,
@@ -87,8 +85,6 @@ __all__ = [
     "discounted_resolvent",
     "elimination_solve",
     "expected_values",
-    "hamiltonian",
-    "hamiltonian_minimizer",
     "load_params",
     "mc_cost",
     "params_from_config",

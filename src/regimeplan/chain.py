@@ -50,13 +50,6 @@ class RegimePath:
         return len(self.states) - 1
 
 
-def _check_rates(gen: Generator) -> None:
-    """Raise ValueError unless every off-diagonal rate of gen is finite and >= 0."""
-    off = gen.q[~np.eye(gen.m, dtype=bool)]
-    if not np.all(np.isfinite(off) & (off >= 0.0)):
-        raise ValueError("generator off-diagonal rates must be finite and nonnegative")
-
-
 def _jump_tables(gen: Generator):
     """Per-state exit rates and cumulative next-state distributions as plain lists."""
     q, m = gen.q, gen.m
@@ -121,11 +114,9 @@ def _walk(rates, cums, targets, i0, horizon, rng):
 def _walks(gen: Generator, i0: int, horizon: float, streams):
     """One _walk from 1-based i0 per stream seed, each on its own default_rng.
 
-    Raises ValueError, before any walk, unless the rates pass _check_rates, i0
-    is in 1..m, the horizon is positive and finite, and horizon x largest exit
-    rate <= _BLOCK_JUMPS.
+    Raises ValueError, before any walk, unless i0 is in 1..m, the horizon is
+    positive and finite, and horizon x largest exit rate <= _BLOCK_JUMPS.
     """
-    _check_rates(gen)
     if not 1 <= i0 <= gen.m:
         raise ValueError(f"i0 must be in 1..{gen.m}")
     if not (horizon > 0 and math.isfinite(horizon)):
@@ -186,13 +177,12 @@ def _functional_args(gen: Generator, r: float, g) -> np.ndarray:
 def discounted_resolvent(gen: Generator, r: float, g) -> np.ndarray:
     """Solve (r I - Q) w = g for the discounted regime functional w.
 
-    r I - Q is strictly diagonally dominant for r > 0, hence invertible; the
+    With the Generator's nonnegative rates, r I - Q is strictly diagonally
+    dominant for r > 0, hence invertible; the
     dense LU factorization with partial pivoting is numerically safe here.
-    Raises ValueError unless r is positive and finite, g finite and the rates
-    pass _check_rates.
+    Raises ValueError unless r is positive and finite and g finite.
     """
     g = _functional_args(gen, r, g)
-    _check_rates(gen)
     a = r * np.eye(gen.m) - gen.q
     return np.linalg.solve(a, g)
 

@@ -26,8 +26,6 @@ from ._svg import line_plot
 from .model import ModelParams, load_params, validate_params
 from .policy import (
     default_grid,
-    hamiltonian,
-    hamiltonian_minimizer,
     policy_coefficients,
     value_constant,
     value_function,
@@ -357,7 +355,6 @@ def cmd_check(args, out_dir: Path) -> int:
 
     if sol is None:
         items.append(("adjoint residual", None, "needs a solved system"))
-        items.append(("hamiltonian minimizer", None, "needs a solved system"))
     else:
         rng = np.random.default_rng(0)
         samples = [(float(x), int(i)) for x, i in
@@ -366,25 +363,6 @@ def cmd_check(args, out_dir: Path) -> int:
         res = adjoint_residual(p, sol, samples)
         items.append(("adjoint residual", res <= 1e-9,
                       f"max {res:.2e} over 1000 samples"))
-
-        law = policy_coefficients(sol, p)
-        ok = True
-        detail = "feedback minimizes H at spot checks"
-        for x in (-10.0, -1.0, 0.0, 1.0, 10.0):
-            for i in range(1, p.m + 1):
-                y = float(sol.phi[i - 1] * x + sol.psi[i - 1])
-                u_star = float(law(x, i, 0.0))
-                if abs(u_star - hamiltonian_minimizer(i, y, p)) > 1e-10:
-                    ok, detail = False, f"feedback differs from argmin H at x={x:g}, i={i}"
-                    break
-                h0 = hamiltonian(x, i, u_star, y, 0.0, p)
-                if (hamiltonian(x, i, u_star + 0.1, y, 0.0, p) <= h0
-                        or hamiltonian(x, i, u_star - 0.1, y, 0.0, p) <= h0):
-                    ok, detail = False, f"H not minimal at x={x:g}, i={i}"
-                    break
-            if not ok:
-                break
-        items.append(("hamiltonian minimizer", ok, detail))
 
     lines = []
     failed = False

@@ -1,5 +1,8 @@
 """Parameter containers, validation, and JSON config files.
 
+A Generator or ModelParams holding a non-finite number or a negative rate
+cannot be built; positivity and row sums are reported by validate_params.
+
 The market regime follows a continuous-time Markov chain on {1, ..., m}
 with generator Q (off-diagonal q_ij >= 0, rows summing to zero).  Given a
 regime i, inventory evolves as
@@ -56,6 +59,7 @@ def _frozen(a, dtype=float) -> np.ndarray:
 class Generator:
     """Transition-rate matrix of the driving chain.
 
+    Off-diagonal rates must be finite and nonnegative (ValueError otherwise).
     The diagonal is recomputed on construction as q_ii = -sum_{j != i} q_ij
     (row sums of a generator are structurally zero).  The absolute row-sum
     discrepancy of the supplied matrix is retained so that validation can
@@ -68,9 +72,11 @@ class Generator:
         q = np.array(q, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] < 1:
             raise ValueError("generator must be a square matrix with m >= 1")
-        row_sums = q.sum(axis=1)
         off = q.copy()
         np.fill_diagonal(off, 0.0)
+        if not np.all(np.isfinite(off) & (off >= 0.0)):
+            raise ValueError("generator off-diagonal rates must be finite and nonnegative")
+        row_sums = q.sum(axis=1)
         np.fill_diagonal(off, -off.sum(axis=1))
         self.q = _frozen(off)
         self.row_sum_error = _frozen(np.abs(row_sums))
@@ -91,10 +97,11 @@ class Generator:
 class ModelParams:
     """All model parameters for an m-regime problem.
 
-    Construction enforces shape consistency (every vector must have length m);
-    value-domain constraints such as positivity are reported by
+    Structure is raised, admissibility reported: construction requires every
+    vector to have length m and every number to be finite (ValueError naming
+    the field otherwise), while positivity is reported by
     :func:`validate_params` rather than raised, so that diagnostic tooling can
-    inspect invalid parameter sets.
+    inspect inadmissible parameter sets.
     """
 
     __slots__ = ("gen", "r", "theta", "sigma", "c", "h", "N", "R")
@@ -104,11 +111,15 @@ class ModelParams:
             gen = Generator(gen)
         self.gen = gen
         self.r = float(r)
+        if not math.isfinite(self.r):
+            raise ValueError("r not finite")
         for name, val in (("theta", theta), ("sigma", sigma), ("c", c),
                           ("h", h), ("N", N), ("R", R)):
             arr = _frozen(val)
             if arr.shape != (gen.m,):
                 raise ValueError(f"{name} must have length m={gen.m}, got shape {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} not finite")
             setattr(self, name, arr)
 
     @property
@@ -142,34 +153,19 @@ class ValidationReport:
 
 
 def validate_params(p: ModelParams) -> ValidationReport:
-    """Check every model invariant; return the (possibly empty) violation list.
+    """Check the admissibility invariants; return the (possibly empty) violation list.
 
+    Row sums within 1e-12 of zero, and r, sigma, c, h, N and R strictly
+    positive; finiteness and the rates' signs already hold by construction.
     Pure and idempotent.  Messages use 1-based regime indices.
     """
-    bad = []
-    q = p.gen.q
-    m = p.m
-    for i in range(m):
-        if not p.gen.row_sum_error[i] <= _ROW_SUM_TOL:
-            bad.append(f"generator row {i + 1} sum nonzero")
-        for j in range(m):
-            if i == j:
-                continue
-            if not math.isfinite(q[i, j]):
-                bad.append(f"generator entry ({i + 1},{j + 1}) not finite")
-            elif q[i, j] < 0:
-                bad.append(f"generator entry ({i + 1},{j + 1}) negative")
-    if not math.isfinite(p.r):
-        bad.append("r not finite")
-    elif not p.r > 0:
+    bad = [f"generator row {i + 1} sum nonzero"
+           for i, err in enumerate(p.gen.row_sum_error) if not err <= _ROW_SUM_TOL]
+    if not p.r > 0:
         bad.append("r not positive")
-    for name in ("theta", "sigma", "c", "h", "N", "R"):
-        vec = getattr(p, name)
-        for i in range(m):
-            if not math.isfinite(vec[i]):
-                bad.append(f"{name}({i + 1}) not finite")
-            elif name != "theta" and not vec[i] > 0:
-                bad.append(f"{name}({i + 1}) not positive")
+    for name in ("sigma", "c", "h", "N", "R"):
+        bad += [f"{name}({i + 1}) not positive"
+                for i, v in enumerate(getattr(p, name)) if not v > 0]
     return ValidationReport(tuple(bad))
 
 

@@ -1,7 +1,8 @@
-"""Hamiltonian, optimal feedback law, and the analytic value function.
+"""Optimal feedback law and the analytic value function.
 
 With the curvature phi and slope psi solved, the optimal production rate is
-the affine feedback
+the affine feedback, the pointwise minimizer over u of the Hamiltonian
+(strictly convex in u because R > 0),
 
     u*(x, i) = -[phi(i) x + psi(i)] / R(i) + h(i),
 
@@ -28,8 +29,6 @@ from .riccati import RiccatiSolution
 __all__ = [
     "PolicyCoefficients",
     "ValueReport",
-    "hamiltonian",
-    "hamiltonian_minimizer",
     "policy_coefficients",
     "value_constant",
     "value_function",
@@ -74,24 +73,6 @@ def _index(i, m: int):
 def default_grid(lo: float = -10.0, hi: float = 10.0, points: int = 401) -> np.ndarray:
     """Inventory grid for tabulation and nonnegativity checks."""
     return np.linspace(lo, hi, points)
-
-
-def hamiltonian(x: float, i: int, u: float, y: float, z: float,
-                p: ModelParams) -> float:
-    """Discounted-problem Hamiltonian at state x, regime i, control u, adjoints (y, z).
-
-    H = (u - theta(i)) y + sigma(i) z
-        + 1/2 [N(i)(x - c(i))^2 + R(i)(u - h(i))^2] - r x y.
-    """
-    j = _index(i, p.m)
-    running = 0.5 * (p.N[j] * (x - p.c[j]) ** 2 + p.R[j] * (u - p.h[j]) ** 2)
-    return float((u - p.theta[j]) * y + p.sigma[j] * z + running - p.r * x * y)
-
-
-def hamiltonian_minimizer(i: int, y: float, p: ModelParams) -> float:
-    """argmin over u of the Hamiltonian: u = h(i) - y / R(i)."""
-    j = _index(i, p.m)
-    return float(p.h[j] - y / p.R[j])
 
 
 def policy_coefficients(sol: RiccatiSolution, p: ModelParams) -> PolicyCoefficients:

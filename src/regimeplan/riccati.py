@@ -96,22 +96,14 @@ class RiccatiSolution:
 
 
 def _require_solvable(p: ModelParams) -> None:
-    """Reject parameters outside the solver's hypotheses.
+    """Reject parameters outside the solver's hypotheses: r > 0, N > 0 and R > 0.
 
-    Only what the quadratic and slope systems rely on is checked: finite
-    inputs, nonnegative switching rates, r > 0, and strictly positive N and R.
-    Noise and target levels never enter these systems, so sigma = 0 or
-    arbitrary c, h are fine here even though the full model validation flags
-    them.
+    Finite inputs and nonnegative switching rates hold by construction of
+    ModelParams and Generator.  Noise and target levels never enter the
+    quadratic and slope systems, so sigma = 0 or arbitrary c, h are fine here
+    even though validate_params flags them.
     """
     problems = []
-    for name, val in (("generator", p.gen.q), ("r", p.r), ("theta", p.theta),
-                      ("c", p.c), ("h", p.h), ("N", p.N), ("R", p.R)):
-        if not np.all(np.isfinite(val)):
-            problems.append(f"{name} not finite")
-    off = p.gen.q - np.diag(np.diag(p.gen.q))
-    if np.any(off < 0.0):
-        problems.append("generator off-diagonal entry negative")
     if not p.r > 0.0:
         problems.append("r not positive")
     if np.any(p.N <= 0.0):

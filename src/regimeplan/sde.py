@@ -89,6 +89,8 @@ class SimConfig:
             raise ValueError("dt must be positive and finite")
         if not (self.horizon >= self.dt and math.isfinite(self.horizon)):
             raise ValueError("horizon must be finite and at least dt")
+        if not self.horizon / self.dt < 2.0 ** 53:  # float64's exact-integer limit
+            raise ValueError("horizon / dt must be below 2**53 steps")
         if not math.isfinite(self.x0):
             raise ValueError("x0 must be finite")
         if self.n_paths < 1:
@@ -417,7 +419,8 @@ def asymptotic_decay(p: ModelParams, sol: RiccatiSolution, cfg: SimConfig,
         raise ValueError("checkpoints must be strictly increasing")
     nodes = []
     for t in cps:
-        k = int(round(t / cfg.dt))
+        k = t / cfg.dt
+        k = round(k) if math.isfinite(k) else -1
         if not 0 <= k <= cfg.n_steps:
             raise ValueError(f"checkpoint {t} outside the grid")
         nodes.append(k)

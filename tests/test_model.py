@@ -1,4 +1,4 @@
-"""Parameter containers, validation messages, and config file round-trips."""
+"""Parameter containers, construction invariants, validation messages, config files."""
 
 import json
 
@@ -83,12 +83,6 @@ def test_validate_flags_row_sum():
     assert "generator row 1 sum nonzero" in rep.violations
 
 
-def test_validate_flags_negative_rate():
-    p = two_regime(gen=Generator([[1.0, -1.0], [2.0, -2.0]]))
-    rep = validate_params(p)
-    assert "generator entry (1,2) negative" in rep.violations
-
-
 def test_validate_flags_positivity():
     p = two_regime(r=0.0, R=[0.5, -0.4], sigma=[0.6, 0.0])
     rep = validate_params(p)
@@ -99,14 +93,32 @@ def test_validate_flags_positivity():
 
 
 def test_validate_flags_non_finite():
-    p = two_regime(gen=Generator([[-1.0, np.inf], [1.0, -1.0]]), r=np.inf,
-                   theta=[np.nan, 2.5], N=[0.4, -np.inf])
-    rep = validate_params(p)
-    assert "generator entry (1,2) not finite" in rep.violations
-    assert "r not finite" in rep.violations
-    assert "theta(1) not finite" in rep.violations
-    assert "N(2) not finite" in rep.violations
-    assert "theta(2) not finite" not in rep.violations
+    # off-diagonal rates are checked when built; a NaN diagonal is recomputed
+    # and its row sum reported
+    p = two_regime(gen=Generator([[np.nan, 1.0], [1.0, -1.0]]))
+    assert np.array_equal(p.gen.q, [[-1.0, 1.0], [1.0, -1.0]])
+    assert validate_params(p).violations == ("generator row 1 sum nonzero",)
+
+
+@pytest.mark.parametrize("field", ["r", "theta", "sigma", "c", "h", "N", "R"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_params_refuse_non_finite(p_bench, field, bad):
+    value = bad if field == "r" else [1.0, bad]
+    with pytest.raises(ValueError, match=f"^{field} not finite$"):
+        two_regime(**{field: value})
+    with pytest.raises(ValueError, match=f"^{field} not finite$"):
+        p_bench.replace(**{field: value})
+
+
+@pytest.mark.parametrize("rate", [-1.0, np.nan, np.inf, -np.inf])
+def test_generator_refuses_bad_rate(p_bench, rate):
+    msg = "generator off-diagonal rates must be finite and nonnegative"
+    with pytest.raises(ValueError, match=msg):
+        Generator([[0.0, 1.0], [rate, 0.0]])
+    with pytest.raises(ValueError, match=msg):
+        Generator.two_state_symmetric(rate)
+    with pytest.raises(ValueError, match=msg):
+        p_bench.replace(gen=[[0.0, rate], [1.0, 0.0]])
 
 
 def test_config_roundtrip(p_bench):

@@ -1,8 +1,10 @@
-"""The public surface: every exported name resolves; only the CLI writes files."""
+"""The public surface: every exported name resolves; only the CLI writes files;
+the package imports nothing beyond the standard library and numpy."""
 
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,3 +94,20 @@ def test_only_main_maps_exit_codes():
                         and node.id in ("EXIT_CONFIG", "EXIT_SOLVER")):
                     users.add(f"{name}.{getattr(top, 'name', '<module>')}")
     assert sorted(users) == ["regimeplan.cli.main"]
+
+
+def test_src_imports_only_stdlib_and_numpy():
+    # numpy is the one runtime dependency (pyproject.toml); scipy is not
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    foreign = set()
+    for name in MODULES:
+        tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            foreign.update(f"{name}: {root}" for root in roots if root not in allowed)
+    assert not foreign, sorted(foreign)

@@ -1,4 +1,4 @@
-"""Hamiltonian structure, feedback law, and the analytic value function."""
+"""Feedback law and the analytic value function."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,6 @@ import pytest
 from regimeplan import (
     PolicyCoefficients,
     default_grid,
-    hamiltonian,
-    hamiltonian_minimizer,
     policy_coefficients,
     value_constant,
     value_function,
@@ -26,43 +24,6 @@ def test_feedback_coefficients_frozen(p_bench, sol_bench):
     # published 3-decimal cells derive from rounded phi, psi; stay within a cell
     assert np.max(np.abs(coeffs.slope - [-0.816, -0.906])) < 1e-3
     assert np.max(np.abs(coeffs.intercept - [6.098, 4.582])) < 1e-3
-
-
-def test_minimizer_formula_and_optimality(p_bench):
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        i = int(rng.integers(1, 3))
-        x = float(rng.uniform(-8.0, 8.0))
-        y = float(rng.uniform(-5.0, 5.0))
-        z = float(rng.uniform(-2.0, 2.0))
-        u_star = hamiltonian_minimizer(i, y, p_bench)
-        assert u_star == pytest.approx(p_bench.h[i - 1] - y / p_bench.R[i - 1])
-        h0 = hamiltonian(x, i, u_star, y, z, p_bench)
-        for eps in (-0.5, -1e-3, 1e-3, 0.5):
-            assert hamiltonian(x, i, u_star + eps, y, z, p_bench) >= h0
-
-
-def test_hamiltonian_curvatures(p_bench):
-    # H is quadratic, so second differences recover N and R exactly
-    x, i, y, z, e = 1.7, 2, 0.8, -0.4, 0.5
-    u = 3.0
-    d2u = (hamiltonian(x, i, u + e, y, z, p_bench)
-           - 2.0 * hamiltonian(x, i, u, y, z, p_bench)
-           + hamiltonian(x, i, u - e, y, z, p_bench)) / e ** 2
-    assert d2u == pytest.approx(p_bench.R[i - 1], abs=1e-9)
-    d2x = (hamiltonian(x + e, i, u, y, z, p_bench)
-           - 2.0 * hamiltonian(x, i, u, y, z, p_bench)
-           + hamiltonian(x - e, i, u, y, z, p_bench)) / e ** 2
-    assert d2x == pytest.approx(p_bench.N[i - 1], abs=1e-9)
-
-
-def test_feedback_is_pointwise_minimizer(p_bench, sol_bench):
-    law = policy_coefficients(sol_bench, p_bench)
-    for i in (1, 2):
-        for x in (-6.0, 0.0, 4.5):
-            y = sol_bench.phi[i - 1] * x + sol_bench.psi[i - 1]
-            assert float(law(x, i, 0.0)) == pytest.approx(
-                hamiltonian_minimizer(i, y, p_bench), abs=1e-12)
 
 
 def test_value_constant_frozen(p_bench, sol_bench):
@@ -114,10 +75,6 @@ def test_regime_out_of_range_raises(p_bench, sol_bench):
     for i in (0, p_bench.m + 1):
         with pytest.raises(ValueError, match="regime index must be in 1..2"):
             value_function(0.0, i, sol_bench, p_bench)
-        with pytest.raises(ValueError, match="regime index must be in 1..2"):
-            hamiltonian(0.0, i, 1.0, 0.5, 0.0, p_bench)
-        with pytest.raises(ValueError, match="regime index must be in 1..2"):
-            hamiltonian_minimizer(i, 0.5, p_bench)
         with pytest.raises(ValueError, match="regime index must be in 1..2"):
             coeffs(1.0, i, 0.0)
         with pytest.raises(ValueError, match="regime index must be in 1..2"):

@@ -56,6 +56,9 @@ def test_simconfig_validation():
             SimConfig(dt=0.1, horizon=1.0, n_paths=1, seed=0, x0=bad, i0=1)
     with pytest.raises(ValueError, match="seed"):
         SimConfig(dt=0.1, horizon=1.0, n_paths=1, seed=-1, x0=0.0, i0=1)
+    for dt in (1e-300, 5e-324):  # no meaningful step count past 2**53
+        with pytest.raises(ValueError, match="below 2"):
+            SimConfig(dt=dt, horizon=1.0, n_paths=1, seed=0, x0=0.0, i0=1)
 
 
 def test_simconfig_grid():
@@ -342,8 +345,9 @@ def test_decay_validation(p_bench, sol_bench):
         asymptotic_decay(p_bench, sol_bench, cfg, ())
     with pytest.raises(ValueError, match="strictly increasing"):
         asymptotic_decay(p_bench, sol_bench, cfg, (5.0, 1.0))
-    with pytest.raises(ValueError, match="outside"):
-        asymptotic_decay(p_bench, sol_bench, cfg, (5.0, 20.0))
+    for cps in ((5.0, 20.0), (1.0, math.inf), (math.nan,)):
+        with pytest.raises(ValueError, match="outside the grid"):
+            asymptotic_decay(p_bench, sol_bench, cfg, cps)
     with pytest.raises(ValueError, match="collide"):
         asymptotic_decay(p_bench, sol_bench, cfg, (5.0, 5.1))
     one = SimConfig(dt=0.5, horizon=10.0, n_paths=1, seed=0, x0=0.0, i0=1)
