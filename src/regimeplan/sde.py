@@ -44,9 +44,21 @@ and the same quadrature as the estimates.  Every per-path operation is
 elementwise and runs in grid order, and all reductions run over arrays in
 global path order, so a given SimConfig produces bit-identical results
 whatever the block and chunk sizes.
+
+Because paths are independent, an affine run splits its paths into
+contiguous shares, one per CPU the process may use (os.sched_getaffinity,
+else os.cpu_count), but never more shares than blocks and none below
+_SHARE_WORK path-steps, so small runs pay no worker start-up.  The caller
+runs the first share and a worker process each other one; results land in
+global path order, so estimates and kept paths are bitwise equal for any
+worker count.  Workers are fresh interpreters started with -c, never a fork
+of the caller, and they import only this package, so a script needs no
+`if __name__ == "__main__"` guard.  A callable policy runs in process,
+since it may not pickle and is called per node anyway.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +83,7 @@ _BLOCK = 2048  # most paths per vectorized block
 _CHUNK = 512   # grid nodes per time chunk; with _BLOCK bounds transient memory
 _KEEP_BUDGET = 1 << 30  # bytes a recording may retain
 _KEPT_PER_NODE = 32     # bytes per path and node: x, regime, cost and a derived u
+_SHARE_WORK = 1 << 23   # fewest path-steps worth a worker process (~0.2 s to start)
 
 
 @dataclass(frozen=True)
@@ -223,57 +236,181 @@ def _require_finite(costs: np.ndarray) -> None:
                          "or the cost scale overflows")
 
 
+def _workers(work: int) -> int:
+    """Processes for a run of `work` path-steps.
+
+    One per usable CPU, each given at least _SHARE_WORK path-steps, so a
+    small run stays in process.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, work // _SHARE_WORK))
+
+
+# A worker reads the parent's sys.path and one share's arguments from stdin
+# and writes the share's result, or the exception it raised (its traceback
+# goes to stderr), to stdout.  It runs under -c, so it never imports the
+# caller's __main__, and ignores ^C: the parent handles the interrupt and
+# ends its workers.
+_WORKER = """\
+import io, pickle, signal, sys, traceback
+signal.signal(signal.SIGINT, signal.SIG_IGN)
+inp = io.BytesIO(sys.stdin.buffer.read())
+out, sys.stdout = sys.stdout.buffer, sys.stderr
+sys.path[:] = pickle.load(inp)
+from regimeplan.sde import _share
+try:
+    res = _share(*pickle.load(inp))
+except Exception as exc:
+    traceback.print_exc()
+    res = exc
+pickle.dump(res, out, pickle.HIGHEST_PROTOCOL)
+"""
+
+
+def _start(args):
+    """A worker process running _share(*args); the caller must wait for it."""
+    import pickle
+    import subprocess
+    import sys
+
+    proc = subprocess.Popen([sys.executable, "-c", _WORKER],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    try:
+        path = [os.path.dirname(os.path.dirname(__file__))] + sys.path
+        proc.stdin.write(pickle.dumps(path) + pickle.dumps(args, pickle.HIGHEST_PROTOCOL))
+        proc.stdin.close()
+    except BaseException:
+        _end(proc)
+        raise
+    return proc
+
+
+def _collect(proc):
+    """The result a worker wrote; its exception is raised here."""
+    import pickle
+
+    try:
+        res = pickle.load(proc.stdout)
+    except (EOFError, pickle.UnpicklingError):  # it died before writing all of it
+        raise RuntimeError(f"engine worker exited with status {proc.wait()}") from None
+    proc.wait()
+    if isinstance(res, BaseException):
+        raise res
+    return res
+
+
+def _end(proc) -> None:
+    """Kill a worker unless it has exited, reap it and close its pipes."""
+    if proc.poll() is None:
+        proc.kill()
+    proc.wait()
+    proc.stdin.close()
+    proc.stdout.close()
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
-    """Drive all paths through the Euler scheme in path blocks and time chunks.
+    """Drive all paths through the Euler scheme in shares, path blocks and time chunks.
 
     policy is a PolicyCoefficients (folded tables, no call per step) or any
     callable (x, i, t) -> u, called once per grid node with the array of
     states, the matching array of 1-based regimes and the scalar time, and
     returning something that broadcasts to the states' shape; its u refills
     the B and gamma rows, from the theta, h and R rows carried after them.
-    Both kinds share one node body.  At the j-th grid node listed in record
-    (distinct nodes) every path's state, 0-based regime and running cost are
-    written to row j of three time-major matrices; the running cost is the
-    trapezoid over [0, t_node], so 0 at node 0 and each path's final cost at
-    node n_steps.  Raises ValueError for a record over _KEEP_BUDGET bytes
-    (before reading it), a path the chain walk refuses or a non-finite cost.
+    Both kinds share one node body (_share).  At the j-th grid node listed
+    in record (distinct nodes) every path's state, 0-based regime and running
+    cost are written to row j of three time-major matrices; the running cost
+    is the trapezoid over [0, t_node], so 0 at node 0 and each path's final
+    cost at node n_steps.  An affine run worth more than one worker (see
+    _workers) splits its paths into contiguous shares of at least one block
+    each: the parent runs the first, a worker process each other one, and
+    the results land in global path order.  Raises ValueError, before any
+    walk or worker, for a record over _KEEP_BUDGET bytes, a start regime
+    outside 1..m or a path the chain walk's budget refuses, and after all
+    shares for a non-finite cost.
     """
     if not p.r > 0:
         raise ValueError("r not positive")
     n_paths = cfg.n_paths
     n = cfg.n_steps
-    dt = cfg.dt
-    sqrt_dt = math.sqrt(dt)
-    r = float(p.r)
     affine = isinstance(policy, PolicyCoefficients)
     if affine:
-        tables = _affine_tables(p, policy, dt)
+        tables = _affine_tables(p, policy, cfg.dt)
+        policy = None
     else:  # rows A..gamma, then theta, h, R; B and gamma are refilled from u
         one, zero = np.ones(p.m), np.zeros(p.m)
         tables = np.array([one, zero, p.sigma, p.c, 0.5 * p.N, zero,
                            p.theta, p.h, p.R])
-    i0 = cfg.i0 - 1
-    tail_from = (3 * n) // 4
     kept = len(record) * n_paths * _KEPT_PER_NODE
     if kept > _KEEP_BUDGET:
         raise ValueError(f"simulation would retain {kept / 2**30:.3g} GiB of paths, over "
                          f"the {_KEEP_BUDGET / 2**30:g} GiB budget; use fewer paths or nodes")
+    chain._walks(p.gen, cfg.i0, n * cfg.dt, ())  # its checks, before any walk or worker
+    jumps = n * cfg.dt * float(np.max(-np.diag(p.gen.q)))
+    width = min(_BLOCK, n_paths, max(1, int(chain._BLOCK_JUMPS / max(jumps, 1.0))))
+    shares = min(_workers(n_paths * n), -(-n_paths // width)) if affine else 1
+    cuts = [n_paths * s // shares for s in range(shares + 1)]
+    args = [(p, tables, policy, cfg, lo, hi, width, _CHUNK, record)
+            for lo, hi in zip(cuts, cuts[1:])]
+    if shares == 1:
+        costs, tail_max, rec_x, rec_reg, rec_cost = _share(*args[0])
+    else:
+        costs = np.empty(n_paths)
+        tail_max = 0.0
+        rec_x = np.empty((len(record), n_paths))
+        rec_reg = np.empty((len(record), n_paths), dtype=np.int64)
+        rec_cost = np.empty((len(record), n_paths))
+        procs = []
+        try:
+            for a in args[1:]:
+                procs.append(_start(a))
+            for lo, hi, proc in zip(cuts, cuts[1:], [None] + procs):
+                part = _share(*args[0]) if proc is None else _collect(proc)
+                costs[lo:hi], tail, rec_x[:, lo:hi], rec_reg[:, lo:hi], rec_cost[:, lo:hi] = part
+                tail_max = max(tail_max, tail)
+                del part  # frees a share's record before the next one arrives
+        finally:
+            for proc in procs:
+                _end(proc)
+    _require_finite(costs)
+    return _EngineOut(costs=costs, tail_max=tail_max, x=rec_x, regime=rec_reg,
+                      cost=rec_cost)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _share(p: ModelParams, tables: np.ndarray, policy, cfg: SimConfig, lo: int, hi: int,
+           width: int, chunk: int, record):
+    """Paths lo..hi-1 in blocks of `width` paths and chunks of `chunk` nodes.
+
+    tables are _run's per-regime rows; policy is None for affine tables, else
+    the callable whose u refills them at every node.  Returns the paths'
+    costs, their tail maximum and their (len(record), hi - lo) states,
+    0-based regimes and running costs at the record nodes.
+    """
+    n_paths = hi - lo
+    n = cfg.n_steps
+    dt = cfg.dt
+    sqrt_dt = math.sqrt(dt)
+    r = float(p.r)
+    i0 = cfg.i0 - 1
+    tail_from = (3 * n) // 4
     rows = {int(k): j for j, k in enumerate(record)}
     rec_x = np.empty((len(rows), n_paths))
     rec_reg = np.empty((len(rows), n_paths), dtype=np.int64)
     rec_cost = np.empty((len(rows), n_paths))
     costs = np.empty(n_paths)
     tail_max = 0.0
-    jumps = n * dt * float(np.max(-np.diag(p.gen.q)))
-    width = min(_BLOCK, n_paths, max(1, int(chain._BLOCK_JUMPS / max(jumps, 1.0))))
-    z_paths = np.empty((width, _CHUNK))
-    dw_time = np.empty((_CHUNK, width))
-    for lo in range(0, n_paths, width):
-        hi = min(lo + width, n_paths)
-        nb = hi - lo
-        ev_node, ev_path, ev_state = _jump_events(p, cfg, lo, hi)
-        normals = [np.random.default_rng([cfg.seed, k, 1]) for k in range(lo, hi)]
+    width = min(width, n_paths)
+    z_paths = np.empty((width, chunk))
+    dw_time = np.empty((chunk, width))
+    for b0 in range(0, n_paths, width):
+        b1 = min(b0 + width, n_paths)
+        nb = b1 - b0
+        ev_node, ev_path, ev_state = _jump_events(p, cfg, lo + b0, lo + b1)
+        normals = [np.random.default_rng([cfg.seed, k, 1]) for k in range(lo + b0, lo + b1)]
         reg = np.full(nb, i0, dtype=np.intp)
         cur = np.repeat(tables[:, i0:i0 + 1], nb, axis=1)  # table rows per path
         a_, b_, sig, xstar, alpha, gamma, *by_u = cur
@@ -282,8 +419,8 @@ def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
         tail = np.zeros(nb)
         f = np.empty(nb)
         tmp = np.empty(nb)
-        for c0 in range(0, n + 1, _CHUNK):
-            c1 = min(c0 + _CHUNK, n + 1)
+        for c0 in range(0, n + 1, chunk):
+            c1 = min(c0 + chunk, n + 1)
             steps = min(c1, n) - c0
             zp = z_paths[:nb, :steps]
             for k, gen in enumerate(normals):
@@ -300,7 +437,7 @@ def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
                     cols, new = ev_path[e0:e1], ev_state[e0:e1]
                     reg[cols] = new
                     cur[:, cols] = tables[:, new]
-                if not affine:
+                if policy is not None:
                     u = np.asarray(policy(x, reg + 1, node * dt), dtype=float)
                     th_, h_, r_ = by_u
                     np.subtract(u, th_, out=b_)
@@ -317,11 +454,11 @@ def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
                     np.maximum(tail, f, out=tail)
                 j = rows.get(node)
                 if j is not None:
-                    rec_x[j, lo:hi] = x
-                    rec_reg[j, lo:hi] = reg
+                    rec_x[j, b0:b1] = x
+                    rec_reg[j, b0:b1] = reg
                     # the sum so far plus this node's half weight, 0 at node 0
                     np.multiply(f, dt * disc[t] * 0.5 if node else 0.0, out=tmp)
-                    np.add(cost, tmp, out=rec_cost[j, lo:hi])
+                    np.add(cost, tmp, out=rec_cost[j, b0:b1])
                 weight = dt * disc[t]  # trapezoid weight, halved at both ends
                 if node == 0 or node == n:
                     weight *= 0.5
@@ -332,11 +469,9 @@ def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
                     np.add(x, b_, out=x)
                     np.multiply(sig, dw[t], out=tmp)
                     np.add(x, tmp, out=x)
-        costs[lo:hi] = cost
+        costs[b0:b1] = cost
         tail_max = max(tail_max, float(tail.max()))
-    _require_finite(costs)
-    return _EngineOut(costs=costs, tail_max=tail_max, x=rec_x, regime=rec_reg,
-                      cost=rec_cost)
+    return costs, tail_max, rec_x, rec_reg, rec_cost
 
 
 def simulate_controlled(p: ModelParams, sol: RiccatiSolution,
@@ -439,6 +574,35 @@ def asymptotic_decay(p: ModelParams, sol: RiccatiSolution, cfg: SimConfig,
     return result
 
 
+def _adjoint_terms(p: ModelParams, sol: RiccatiSolution, samples):
+    """Per-sample defect of adjoint_residual's identity and the sum of its terms' sizes.
+
+    The second array adds the absolute values of every term of the identity,
+    with u* = s x + k and the chain sums taken term by term, so rounding in
+    the defect stays below a small multiple of it whatever the model's scale.
+    """
+    phi, psi = sol.phi, sol.psi
+    if np.any(phi < 0):
+        raise ValueError("phi must be nonnegative")
+    xs = np.array([float(s[0]) for s in samples])
+    ii = np.array([int(s[1]) for s in samples])
+    if xs.size == 0:
+        raise ValueError("samples must be nonempty")
+    idx = ii - 1
+    coeffs = policy_coefficients(sol, p)
+    u = coeffs(xs, ii, 0.0)
+    qphi = p.gen.q @ phi
+    qpsi = p.gen.q @ psi
+    drift_y = phi[idx] * (u - p.theta[idx]) + xs * qphi[idx] + qpsi[idx]
+    res = drift_y + p.N[idx] * (xs - p.c[idx]) - p.r * (phi[idx] * xs + psi[idx])
+    ax, aq = np.abs(xs), np.abs(p.gen.q)
+    scale = (phi[idx] * (np.abs(coeffs.slope[idx]) * ax + np.abs(coeffs.intercept[idx])
+                         + np.abs(p.theta[idx]))
+             + ax * (aq @ phi)[idx] + (aq @ np.abs(psi))[idx]
+             + p.N[idx] * (ax + np.abs(p.c[idx])) + p.r * (phi[idx] * ax + np.abs(psi[idx])))
+    return res, scale
+
+
 def adjoint_residual(p: ModelParams, sol: RiccatiSolution, samples) -> float:
     """Largest drift defect of Y = phi(a) X + psi(a) over the given samples.
 
@@ -451,19 +615,7 @@ def adjoint_residual(p: ModelParams, sol: RiccatiSolution, samples) -> float:
     curvature/slope solution the identity is algebraic, so the residual is
     rounding-level and scales like (solver tolerance) * (1 + |x|).
     """
-    phi, psi = sol.phi, sol.psi
-    if np.any(phi < 0):
-        raise ValueError("phi must be nonnegative")
-    xs = np.array([float(s[0]) for s in samples])
-    ii = np.array([int(s[1]) for s in samples])
-    if xs.size == 0:
-        raise ValueError("samples must be nonempty")
-    idx = ii - 1
-    u = policy_coefficients(sol, p)(xs, ii, 0.0)
-    qphi = p.gen.q @ phi
-    qpsi = p.gen.q @ psi
-    drift_y = phi[idx] * (u - p.theta[idx]) + xs * qphi[idx] + qpsi[idx]
-    res = drift_y + p.N[idx] * (xs - p.c[idx]) - p.r * (phi[idx] * xs + psi[idx])
+    res, _ = _adjoint_terms(p, sol, samples)
     return float(np.max(np.abs(res)))
 
 

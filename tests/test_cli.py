@@ -289,6 +289,15 @@ def test_check_passes_large_targets(tmp_path, capsys, field):
     assert "FAIL" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("scale", [1e6, 1e-6])
+def test_check_adjoint_bound_scales_with_cost_weight(tmp_path, capsys, scale):
+    # the adjoint line's bound follows the size of the identity's terms
+    raw = params_to_config(benchmark_params())
+    cfg = write_config(tmp_path, N=[scale * v for v in raw["N"]])
+    assert run(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert "PASS adjoint residual" in capsys.readouterr().out
+
+
 def test_negative_rate_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, Q=[1.0, -1.0, 2.0, -2.0])
     for command in ("check", "solve"):

@@ -4,6 +4,7 @@ the package imports nothing beyond the standard library and numpy."""
 import ast
 import importlib
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -111,3 +112,13 @@ def test_src_imports_only_stdlib_and_numpy():
                 continue
             foreign.update(f"{name}: {root}" for root in roots if root not in allowed)
     assert not foreign, sorted(foreign)
+
+
+def test_import_loads_no_process_machinery():
+    # the engine imports its worker machinery only when it starts a worker
+    code = ("import sys, regimeplan, regimeplan.cli; print(sorted(name for name in "
+            "('multiprocessing', 'concurrent', 'subprocess') if name in sys.modules))")
+    src = str(Path(regimeplan.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "[]"

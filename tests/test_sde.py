@@ -1,6 +1,10 @@
 """Controlled simulation: scheme order, determinism, estimators, adjoint identity."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +176,167 @@ def test_one_path_blocks_match(p_bench, sol_bench, monkeypatch):
         monkeypatch.setattr(chain, "_BLOCK_JUMPS", math.ceil(cfg.horizon * rate))
         assert mc_cost(p, s, cfg) == est
     assert widths == [1] * 10
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The worker processes the engine starts during a test."""
+    procs = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            procs.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return procs
+
+
+def all_reaped(procs):
+    return all(proc.returncode is not None for proc in procs)
+
+
+def engine_results(p, sol, cfg):
+    """Every engine consumer's output on cfg, as comparable values."""
+    paths = simulate_controlled(p, sol, cfg)
+    return [mc_cost(p, sol, cfg), mc_cost(p, shifted_policy(sol, p, 0.5), cfg),
+            asymptotic_decay(p, sol, cfg, (1.0, 10.0, cfg.horizon)),
+            asymptotic_decay(p, sol, cfg, (1.0, 10.0, cfg.horizon), adjoint=True),
+            [np.concatenate([cp.x, cp.u, cp.regime, cp.disc_cost]).tobytes()
+             for cp in paths]]
+
+
+def test_worker_counts_bitwise_equal(p_bench, sol_bench, monkeypatch, started):
+    # 25 paths in blocks of 4: seven blocks, split unevenly into 2 or 3 shares
+    cfg = SimConfig(dt=0.05, horizon=20.0, n_paths=25, seed=12, x0=1.0, i0=2)
+    monkeypatch.setattr(sde, "_BLOCK", 4)
+    runs = []
+    for k in (1, 2, 3):
+        monkeypatch.setattr(sde, "_workers", lambda work, k=k: k)
+        runs.append(engine_results(p_bench, sol_bench, cfg))
+    assert runs[0] == runs[1] == runs[2]
+    assert len(started) == 5 * (1 + 2)  # five engine runs, at 2 and at 3 shares
+    assert all_reaped(started)
+
+
+def test_worker_counts_with_narrow_blocks(p_bench, monkeypatch, started):
+    # at rate 10 and T = 200 a path expects 2000 jumps, so blocks narrow to 524
+    fast = p_bench.replace(gen=Generator.two_state_symmetric(10.0))
+    sol = solve(fast)
+    cfg = SimConfig(dt=0.5, horizon=200.0, n_paths=1049, seed=4, x0=0.0, i0=1)
+    widths = []
+    events = sde._jump_events
+
+    def spy(p, cfg, lo, hi):
+        widths.append(hi - lo)
+        return events(p, cfg, lo, hi)
+
+    monkeypatch.setattr(sde, "_jump_events", spy)
+    ests = []
+    for k in (1, 2, 3):
+        monkeypatch.setattr(sde, "_workers", lambda work, k=k: k)
+        ests.append(mc_cost(fast, sol, cfg))
+    assert ests[0] == ests[1] == ests[2]
+    # the parent's own shares: all three blocks, then 524 and 349 paths
+    assert widths == [524, 524, 1, 524, 349]
+    assert len(started) == 3 and all_reaped(started)
+
+
+def test_callable_policy_runs_in_process(p_bench, sol_bench, monkeypatch, started):
+    coeffs = policy_coefficients(sol_bench, p_bench)
+
+    def plain(x, i, t):
+        idx = np.asarray(i) - 1
+        return coeffs.slope[idx] * x + coeffs.intercept[idx]
+
+    cfg = SimConfig(dt=0.05, horizon=5.0, n_paths=12, seed=2, x0=0.0, i0=1)
+    monkeypatch.setattr(sde, "_BLOCK", 4)
+    monkeypatch.setattr(sde, "_workers", lambda work: 3)
+    assert mc_cost(p_bench, plain, cfg).n == 12
+    assert started == []
+
+
+def test_small_runs_stay_in_process(p_bench, sol_bench, started):
+    # two blocks, but far below a worker's share of work
+    cfg = SimConfig(dt=0.05, horizon=5.0, n_paths=3000, seed=2, x0=0.0, i0=1)
+    assert cfg.n_paths * cfg.n_steps < sde._SHARE_WORK
+    mc_cost(p_bench, sol_bench, cfg)
+    assert started == []
+
+
+def test_refusals_precede_workers(p_bench, sol_bench, monkeypatch, started):
+    monkeypatch.setattr(sde, "_BLOCK", 4)
+    monkeypatch.setattr(sde, "_workers", lambda work: 2)
+    cfg = SimConfig(dt=0.1, horizon=10.0, n_paths=8, seed=0, x0=0.0, i0=3)
+    with pytest.raises(ValueError, match="i0 must be in 1..2"):
+        mc_cost(p_bench, sol_bench, cfg)
+    stiff = p_bench.replace(gen=Generator.two_state_symmetric(1e5))
+    cfg = SimConfig(dt=0.1, horizon=100.0, n_paths=8, seed=0, x0=0.0, i0=1)
+    with pytest.raises(ValueError, match="regime jumps"):
+        mc_cost(stiff, sol_bench, cfg)
+    cfg = SimConfig(dt=0.1, horizon=200.0, n_paths=100_000, seed=0, x0=0.0, i0=1)
+    with pytest.raises(ValueError, match="budget"):
+        asymptotic_decay(p_bench, sol_bench, cfg, cfg.times()[1:])
+    assert started == []
+
+
+def test_no_worker_outlives_a_failed_run(p_bench, sol_bench, monkeypatch, started):
+    monkeypatch.setattr(sde, "_BLOCK", 4)
+    monkeypatch.setattr(sde, "_workers", lambda work: 2)
+    cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=8, seed=0, x0=1e200, i0=1)
+    with pytest.raises(ValueError, match="discounted cost is not finite"):
+        mc_cost(p_bench, sol_bench, cfg)
+    assert len(started) == 1 and all_reaped(started)
+
+    def interrupted(*args):  # the parent's own share; the worker runs the real one
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(sde, "_share", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        mc_cost(p_bench, sol_bench, SimConfig(dt=0.01, horizon=1.0, n_paths=8, seed=0,
+                                              x0=0.0, i0=1))
+    assert len(started) == 2 and all_reaped(started)
+
+
+def test_worker_failures_reach_parent(started):
+    proc = sde._start((None,) * 9)  # _share fails on these in the worker
+    try:
+        with pytest.raises(TypeError):
+            sde._collect(proc)
+    finally:
+        sde._end(proc)
+    proc = sde._start((None,) * 9)
+    proc.kill()  # long before it could write a result
+    try:
+        with pytest.raises(RuntimeError, match="engine worker exited with status -9"):
+            sde._collect(proc)
+    finally:
+        sde._end(proc)
+    assert len(started) == 2 and all_reaped(started)
+
+
+def test_two_shares_from_a_script_without_main_guard(p_bench, sol_bench, tmp_path):
+    # workers never import __main__ and never fork a threaded parent
+    cfg = SimConfig(dt=0.05, horizon=5.0, n_paths=8, seed=3, x0=0.0, i0=1)
+    script = tmp_path / "no_guard.py"
+    script.write_text(
+        "import subprocess\n"
+        "from regimeplan import SimConfig, benchmark_params, mc_cost, sde, solve\n"
+        "sde._BLOCK = 4\n"
+        "sde._workers = lambda work: 2\n"
+        "started = []\n"
+        "popen = subprocess.Popen\n"
+        "subprocess.Popen = lambda *a, **kw: started.append(1) or popen(*a, **kw)\n"
+        "p = benchmark_params()\n"
+        f"est = mc_cost(p, solve(p), {cfg!r})\n"
+        "print(len(started))\n"
+        "print(repr(est))\n")
+    src = str(Path(sde.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", str(script)],
+                         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["1", repr(mc_cost(p_bench, sol_bench, cfg))]
 
 
 def test_jumps_land_where_regimes_on_grid_puts_them(p_bench, sol_bench):
