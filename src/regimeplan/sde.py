@@ -49,21 +49,22 @@ Because paths are independent, an affine run splits its paths into
 contiguous shares, one per CPU the process may use (os.sched_getaffinity,
 else os.cpu_count), but never more shares than blocks and none below
 _SHARE_WORK path-steps, so small runs pay no worker start-up.  The caller
-runs the first share and a worker process each other one; results land in
-global path order, so estimates and kept paths are bitwise equal for any
-worker count.  Workers are fresh interpreters started with -c, never a fork
-of the caller, and they import only this package, so a script needs no
+runs the first share and a worker process each other one (module _pool,
+which the chain functional shares); results land in global path order, so
+estimates and kept paths are bitwise equal for any worker count.  Workers
+are fresh interpreters started with -c, never a fork of the caller, and
+they import only this package, so a script needs no
 `if __name__ == "__main__"` guard.  A callable policy runs in process,
 since it may not pickle and is called per node anyway.
 """
 
 import math
-import os
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import chain
+from . import _pool, chain
 from .model import ModelParams
 from .policy import PolicyCoefficients, policy_coefficients
 from .riccati import RiccatiSolution
@@ -197,20 +198,15 @@ def _jump_events(p: ModelParams, cfg: SimConfig, lo: int, hi: int):
     chain.regimes_on_grid; when a path jumps more than once before the next
     node only its last state is kept.
     """
-    times, states, counts = [], [], []
-    for jt, st in chain._walks(p.gen, cfg.i0, cfg.n_steps * cfg.dt,
-                               ([cfg.seed, k, 0] for k in range(lo, hi))):
-        times += jt[1:]
-        states += st[1:]
-        counts.append(len(jt) - 1)
-    t = np.asarray(times, dtype=float)
+    path, t, state = map(np.concatenate, zip(*chain._walks(
+        p.gen, cfg.i0, cfg.n_steps * cfg.dt, ([cfg.seed, k, 0] for k in range(lo, hi)))))
+    jump = np.r_[False, path[1:] == path[:-1]]  # all but each path's start
+    path, t, state = path[jump], t[jump], state[jump]
     # grid node k sits at k * dt exactly; t / dt may round across a node
     node = np.ceil(t / cfg.dt)
     node += node * cfg.dt < t
     node -= (node - 1.0) * cfg.dt >= t
     node = node.astype(np.intp)
-    path = np.repeat(np.arange(hi - lo), counts)
-    state = np.asarray(states, dtype=np.intp)
     order = np.argsort(node, kind="stable")  # keeps each path's jumps in time order
     node, path, state = node[order], path[order], state[order]
     last = np.ones(node.shape[0], dtype=bool)
@@ -236,81 +232,6 @@ def _require_finite(costs: np.ndarray) -> None:
                          "or the cost scale overflows")
 
 
-def _workers(work: int) -> int:
-    """Processes for a run of `work` path-steps.
-
-    One per usable CPU, each given at least _SHARE_WORK path-steps, so a
-    small run stays in process.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, work // _SHARE_WORK))
-
-
-# A worker reads the parent's sys.path and one share's arguments from stdin
-# and writes the share's result, or the exception it raised (its traceback
-# goes to stderr), to stdout.  It runs under -c, so it never imports the
-# caller's __main__, and ignores ^C: the parent handles the interrupt and
-# ends its workers.
-_WORKER = """\
-import io, pickle, signal, sys, traceback
-signal.signal(signal.SIGINT, signal.SIG_IGN)
-inp = io.BytesIO(sys.stdin.buffer.read())
-out, sys.stdout = sys.stdout.buffer, sys.stderr
-sys.path[:] = pickle.load(inp)
-from regimeplan.sde import _share
-try:
-    res = _share(*pickle.load(inp))
-except Exception as exc:
-    traceback.print_exc()
-    res = exc
-pickle.dump(res, out, pickle.HIGHEST_PROTOCOL)
-"""
-
-
-def _start(args):
-    """A worker process running _share(*args); the caller must wait for it."""
-    import pickle
-    import subprocess
-    import sys
-
-    proc = subprocess.Popen([sys.executable, "-c", _WORKER],
-                            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-    try:
-        path = [os.path.dirname(os.path.dirname(__file__))] + sys.path
-        proc.stdin.write(pickle.dumps(path) + pickle.dumps(args, pickle.HIGHEST_PROTOCOL))
-        proc.stdin.close()
-    except BaseException:
-        _end(proc)
-        raise
-    return proc
-
-
-def _collect(proc):
-    """The result a worker wrote; its exception is raised here."""
-    import pickle
-
-    try:
-        res = pickle.load(proc.stdout)
-    except (EOFError, pickle.UnpicklingError):  # it died before writing all of it
-        raise RuntimeError(f"engine worker exited with status {proc.wait()}") from None
-    proc.wait()
-    if isinstance(res, BaseException):
-        raise res
-    return res
-
-
-def _end(proc) -> None:
-    """Kill a worker unless it has exited, reap it and close its pipes."""
-    if proc.poll() is None:
-        proc.kill()
-    proc.wait()
-    proc.stdin.close()
-    proc.stdout.close()
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
     """Drive all paths through the Euler scheme in shares, path blocks and time chunks.
@@ -325,7 +246,7 @@ def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
     cost are written to row j of three time-major matrices; the running cost
     is the trapezoid over [0, t_node], so 0 at node 0 and each path's final
     cost at node n_steps.  An affine run worth more than one worker (see
-    _workers) splits its paths into contiguous shares of at least one block
+    _pool._workers) splits its paths into contiguous shares of at least one block
     each: the parent runs the first, a worker process each other one, and
     the results land in global path order.  Raises ValueError, before any
     walk or worker, for a record over _KEEP_BUDGET bytes, a start regime
@@ -351,30 +272,24 @@ def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
     chain._walks(p.gen, cfg.i0, n * cfg.dt, ())  # its checks, before any walk or worker
     jumps = n * cfg.dt * float(np.max(-np.diag(p.gen.q)))
     width = min(_BLOCK, n_paths, max(1, int(chain._BLOCK_JUMPS / max(jumps, 1.0))))
-    shares = min(_workers(n_paths * n), -(-n_paths // width)) if affine else 1
+    shares = (min(_pool._workers(n_paths * n, _SHARE_WORK), -(-n_paths // width))
+              if affine else 1)
     cuts = [n_paths * s // shares for s in range(shares + 1)]
     args = [(p, tables, policy, cfg, lo, hi, width, _CHUNK, record)
             for lo, hi in zip(cuts, cuts[1:])]
-    if shares == 1:
-        costs, tail_max, rec_x, rec_reg, rec_cost = _share(*args[0])
-    else:
-        costs = np.empty(n_paths)
-        tail_max = 0.0
-        rec_x = np.empty((len(record), n_paths))
-        rec_reg = np.empty((len(record), n_paths), dtype=np.int64)
-        rec_cost = np.empty((len(record), n_paths))
-        procs = []
-        try:
-            for a in args[1:]:
-                procs.append(_start(a))
-            for lo, hi, proc in zip(cuts, cuts[1:], [None] + procs):
-                part = _share(*args[0]) if proc is None else _collect(proc)
+    with closing(_pool.run(__name__, "_share", args)) as parts:
+        if shares == 1:
+            costs, tail_max, rec_x, rec_reg, rec_cost = next(parts)
+        else:
+            costs = np.empty(n_paths)
+            tail_max = 0.0
+            rec_x = np.empty((len(record), n_paths))
+            rec_reg = np.empty((len(record), n_paths), dtype=np.int64)
+            rec_cost = np.empty((len(record), n_paths))
+            for lo, hi, part in zip(cuts, cuts[1:], parts):
                 costs[lo:hi], tail, rec_x[:, lo:hi], rec_reg[:, lo:hi], rec_cost[:, lo:hi] = part
                 tail_max = max(tail_max, tail)
                 del part  # frees a share's record before the next one arrives
-        finally:
-            for proc in procs:
-                _end(proc)
     _require_finite(costs)
     return _EngineOut(costs=costs, tail_max=tail_max, x=rec_x, regime=rec_reg,
                       cost=rec_cost)

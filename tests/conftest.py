@@ -1,4 +1,7 @@
-"""Shared fixtures: the benchmark model, its solution, and a random-instance factory."""
+"""Shared fixtures: the benchmark model, its solution, a random-instance factory
+and a record of the worker processes a test starts."""
+
+import subprocess
 
 import numpy as np
 import pytest
@@ -41,3 +44,21 @@ def random_params(rng, m=None):
 @pytest.fixture(scope="session")
 def make_params():
     return random_params
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The worker processes the engines start during a test."""
+    procs = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            procs.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return procs
+
+
+def all_reaped(procs):
+    return all(proc.returncode is not None for proc in procs)

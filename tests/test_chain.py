@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from regimeplan import Generator, discounted_functional_mc, discounted_resolvent, simulate_chain
+from regimeplan import _pool, chain
 from regimeplan.chain import regimes_on_grid
+
+from conftest import all_reaped
 
 INVALID_GENERATORS = [
     [[1.0, -1.0], [2.0, -2.0]],
@@ -57,6 +60,16 @@ def test_input_validation():
     for bad in INVALID_GENERATORS:
         with pytest.raises(ValueError, match="rates must be finite and nonnegative"):
             Generator(bad)
+
+
+def test_jump_counts_tally_transitions():
+    gen = Generator([[-1.5, 1.0, 0.5], [0.3, -0.8, 0.5], [1.2, 0.8, -2.0]])
+    path = simulate_chain(gen, 3, 200.0, seed=9)
+    st = path.states - 1
+    counts = np.zeros((3, 3), dtype=np.int64)
+    np.add.at(counts, (st[:-1], st[1:]), 1)
+    assert path.jump_counts.dtype == np.int64
+    assert np.array_equal(path.jump_counts, counts)
 
 
 def test_state_at_matches_grid_sampling():
@@ -183,3 +196,161 @@ def test_functional_mc_validation():
         discounted_functional_mc(gen, math.inf, [1.0, 1.0], 1, 10.0, 4, seed=0)
     with pytest.raises(ValueError, match="g must be finite"):
         discounted_functional_mc(gen, 0.1, [1.0, math.nan], 1, 10.0, 4, seed=0)
+
+
+def scalar_walk(rates, cums, targets, i0, horizon, rng):
+    """The one-path-at-a-time jump-chain walk the block walk replaced: the oracle.
+
+    Per jump it adds one holding time, then picks the first cumulative entry
+    >= the uniform; draws come in chunks of 64, 128, ..., 8192 exponentials,
+    each followed by as many uniforms.
+    """
+    t = 0.0
+    s = i0
+    jt = [0.0]
+    st = [s]
+    expo: list = []
+    unif: list = []
+    k = 0
+    size = 0
+    while True:
+        rate = rates[s]
+        if rate <= 0.0:
+            break  # absorbing state: the path simply stops jumping
+        if k >= size:
+            size = 64 if size == 0 else min(size * 2, 8192)
+            expo = rng.standard_exponential(size).tolist()
+            unif = rng.random(size).tolist()
+            k = 0
+        t += expo[k] / rate
+        u = unif[k]
+        k += 1
+        if t >= horizon:
+            break
+        cu = cums[s]
+        j = 0
+        while u > cu[j]:
+            j += 1
+        nxt = targets[s][j]
+        jt.append(t)
+        st.append(nxt)
+        s = nxt
+    return jt, st
+
+
+def block_walk(gen, i0, horizon, streams):
+    """chain._walks over all blocks, as flat (path, time, state) arrays."""
+    return [np.concatenate(a) for a in zip(*chain._walks(gen, i0, horizon, streams))]
+
+
+def oracle_walk(gen, i0, horizon, streams):
+    rates, cums, targets = chain._jump_tables(gen)
+    walks = [scalar_walk(rates, cums, targets, i0 - 1, horizon, np.random.default_rng(key))
+             for key in streams]
+    return [np.repeat(np.arange(len(walks)), [len(jt) for jt, _ in walks]),
+            np.concatenate([jt for jt, _ in walks]),
+            np.concatenate([st for _, st in walks]).astype(np.intp)]
+
+
+def assert_walks_equal(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+ORACLE_CHAINS = {
+    "one state": Generator([[0.0]]),
+    "two states": Generator.two_state_symmetric(1.3),
+    "eight states": Generator(np.random.default_rng(8).uniform(0.5, 2.0, size=(8, 8))),
+    # regime 1 absorbs; regime 2 picks between two targets
+    "absorbing": Generator([[0.0, 0.0, 0.0], [1.0, -3.0, 2.0], [0.5, 0.5, -1.0]]),
+    # one target per state, regime 1 absorbing
+    "absorbing two states": Generator([[0.0, 0.0], [1.0, -1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CHAINS))
+def test_block_walk_matches_scalar_walk(name):
+    gen = ORACLE_CHAINS[name]
+    streams = [[3, k] for k in range(30)]
+    for i0 in range(1, gen.m + 1):
+        assert_walks_equal(block_walk(gen, i0, 40.0, streams), oracle_walk(gen, i0, 40.0, streams))
+
+
+@pytest.mark.parametrize("gen", [Generator.two_state_symmetric(1.0),
+                                 Generator([[-1.0, 0.5, 0.5], [0.5, -1.0, 0.5],
+                                            [0.5, 0.5, -1.0]])])
+def test_block_walk_ends_inside_each_chunk(gen):
+    # at exit rate 1 a path makes about `horizon` jumps; chunks end after
+    # 64, 192, ..., 4032, 8128 and 16320 draws
+    streams = [[5, k] for k in range(3)]
+    for horizon, lo, hi in ((30.0, 0, 64), (6000.0, 4032, 8128), (12000.0, 8128, 16320)):
+        got = block_walk(gen, 1, horizon, streams)
+        assert all(lo <= n - 1 < hi for n in np.bincount(got[0]))
+        assert_walks_equal(got, oracle_walk(gen, 1, horizon, streams))
+
+
+def test_block_walk_width_changes_nothing(monkeypatch):
+    streams = [[7, k] for k in range(40)]
+    for gen in (Generator.two_state_symmetric(2.0), ORACLE_CHAINS["eight states"]):
+        want = oracle_walk(gen, 2, 50.0, streams)
+        for cap in (1, 10 ** 9):  # one path per block, then all paths in one
+            monkeypatch.setattr(chain, "_WALK_JUMPS", cap)
+            blocks = list(chain._walks(gen, 2, 50.0, streams))
+            assert len(blocks) == (40 if cap == 1 else 1)
+            assert_walks_equal(block_walk(gen, 2, 50.0, streams), want)
+
+
+def test_functional_mc_worker_counts_bitwise_equal(monkeypatch, started):
+    # a 3-state chain with 25 paths: shares of 25, 12 + 13 and 8 + 8 + 9 paths,
+    # the parent's share in blocks of two paths, each worker's in one block
+    gen = Generator([[-1.5, 1.0, 0.5], [0.3, -0.8, 0.5], [1.2, 0.8, -2.0]])
+    monkeypatch.setattr(chain, "_WALK_JUMPS", 300)
+    runs = []
+    for k in (1, 2, 3):
+        monkeypatch.setattr(_pool, "_workers", lambda work, least, k=k: k)
+        runs.append(discounted_functional_mc(gen, 0.1, [1.0, 0.0, 2.0], 2, 60.0, 25, seed=5))
+    assert runs[0] == runs[1] == runs[2]
+    assert len(started) == 1 + 2 and all_reaped(started)
+
+
+def test_functional_mc_small_runs_stay_in_process(started):
+    gen = Generator.two_state_symmetric(1.0)
+    assert 4000 * 60.0 < 2 * chain._SHARE_JUMPS
+    discounted_functional_mc(gen, 0.1, [1.0, 2.0], 1, 60.0, 4000, seed=5)
+    assert started == []
+
+
+def test_functional_mc_refusals_precede_workers(monkeypatch, started):
+    monkeypatch.setattr(_pool, "_workers", lambda work, least: 2)
+    gen = Generator.two_state_symmetric(1.0)
+    g = [1.0, 2.0]
+    with pytest.raises(ValueError, match="i0 must be in 1..2"):
+        discounted_functional_mc(gen, 0.1, g, 3, 10.0, 8, seed=0)
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        discounted_functional_mc(gen, 0.1, g, 1, math.inf, 8, seed=0)
+    with pytest.raises(ValueError, match="regime jumps"):
+        discounted_functional_mc(Generator.two_state_symmetric(2e4), 0.1, g, 1, 100.0, 8, seed=0)
+    with pytest.raises(ValueError, match="g must have length m=2"):
+        discounted_functional_mc(gen, 0.1, [1.0], 1, 10.0, 8, seed=0)
+    with pytest.raises(ValueError, match="n_paths >= 2"):
+        discounted_functional_mc(gen, 0.1, g, 1, 10.0, 1, seed=0)
+    assert started == []
+
+
+def test_functional_mc_failed_share_reaps_workers(monkeypatch, started):
+    gen = Generator.two_state_symmetric(1.0)
+    monkeypatch.setattr(_pool, "_workers", lambda work, least: 2)
+    # a worker's share fails: its exception reaches the caller
+    share = (gen, 0.1, np.array([1.0, 2.0]), 1, 10.0, 0, 0, 4)
+    with pytest.raises(TypeError):
+        list(_pool.run("regimeplan.chain", "_functional_share", [share, (None,) * 8]))
+    assert len(started) == 1 and all_reaped(started)
+
+    def interrupted(*args):  # the parent's own share; the worker runs the real one
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(chain, "_functional_share", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        discounted_functional_mc(gen, 0.1, [1.0, 2.0], 1, 10.0, 8, seed=0)
+    assert len(started) == 2 and all_reaped(started)

@@ -79,9 +79,26 @@ def test_only_chain_walks():
                 found = [alias.name for alias in node.names]
             else:
                 continue
-            if {"_walk", "_jump_tables"} & set(found):
+            if {"_block_walk", "_jump_tables"} & set(found):
                 users.add(name)
     assert sorted(users) == ["regimeplan.chain"]
+
+
+def test_only_pool_imports_subprocess():
+    # worker processes start, and are reaped, in one place
+    importers = []
+    for name in MODULES:
+        tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found = [node.module.split(".")[0]]
+            else:
+                continue
+            if "subprocess" in found:
+                importers.append(name)
+    assert importers == ["regimeplan._pool"]
 
 
 def test_only_main_maps_exit_codes():

@@ -25,9 +25,11 @@ from regimeplan import (
     solve,
     value_function,
 )
-from regimeplan import chain, sde
+from regimeplan import _pool, chain, sde
 from regimeplan.chain import regimes_on_grid
 from regimeplan.riccati import RiccatiSolution
+
+from conftest import all_reaped
 
 
 def one_regime_params():
@@ -178,24 +180,6 @@ def test_one_path_blocks_match(p_bench, sol_bench, monkeypatch):
     assert widths == [1] * 10
 
 
-@pytest.fixture
-def started(monkeypatch):
-    """The worker processes the engine starts during a test."""
-    procs = []
-
-    class Recorded(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            procs.append(self)
-
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
-    return procs
-
-
-def all_reaped(procs):
-    return all(proc.returncode is not None for proc in procs)
-
-
 def engine_results(p, sol, cfg):
     """Every engine consumer's output on cfg, as comparable values."""
     paths = simulate_controlled(p, sol, cfg)
@@ -212,7 +196,7 @@ def test_worker_counts_bitwise_equal(p_bench, sol_bench, monkeypatch, started):
     monkeypatch.setattr(sde, "_BLOCK", 4)
     runs = []
     for k in (1, 2, 3):
-        monkeypatch.setattr(sde, "_workers", lambda work, k=k: k)
+        monkeypatch.setattr(_pool, "_workers", lambda work, least, k=k: k)
         runs.append(engine_results(p_bench, sol_bench, cfg))
     assert runs[0] == runs[1] == runs[2]
     assert len(started) == 5 * (1 + 2)  # five engine runs, at 2 and at 3 shares
@@ -234,7 +218,7 @@ def test_worker_counts_with_narrow_blocks(p_bench, monkeypatch, started):
     monkeypatch.setattr(sde, "_jump_events", spy)
     ests = []
     for k in (1, 2, 3):
-        monkeypatch.setattr(sde, "_workers", lambda work, k=k: k)
+        monkeypatch.setattr(_pool, "_workers", lambda work, least, k=k: k)
         ests.append(mc_cost(fast, sol, cfg))
     assert ests[0] == ests[1] == ests[2]
     # the parent's own shares: all three blocks, then 524 and 349 paths
@@ -251,7 +235,7 @@ def test_callable_policy_runs_in_process(p_bench, sol_bench, monkeypatch, starte
 
     cfg = SimConfig(dt=0.05, horizon=5.0, n_paths=12, seed=2, x0=0.0, i0=1)
     monkeypatch.setattr(sde, "_BLOCK", 4)
-    monkeypatch.setattr(sde, "_workers", lambda work: 3)
+    monkeypatch.setattr(_pool, "_workers", lambda work, least: 3)
     assert mc_cost(p_bench, plain, cfg).n == 12
     assert started == []
 
@@ -266,7 +250,7 @@ def test_small_runs_stay_in_process(p_bench, sol_bench, started):
 
 def test_refusals_precede_workers(p_bench, sol_bench, monkeypatch, started):
     monkeypatch.setattr(sde, "_BLOCK", 4)
-    monkeypatch.setattr(sde, "_workers", lambda work: 2)
+    monkeypatch.setattr(_pool, "_workers", lambda work, least: 2)
     cfg = SimConfig(dt=0.1, horizon=10.0, n_paths=8, seed=0, x0=0.0, i0=3)
     with pytest.raises(ValueError, match="i0 must be in 1..2"):
         mc_cost(p_bench, sol_bench, cfg)
@@ -282,7 +266,7 @@ def test_refusals_precede_workers(p_bench, sol_bench, monkeypatch, started):
 
 def test_no_worker_outlives_a_failed_run(p_bench, sol_bench, monkeypatch, started):
     monkeypatch.setattr(sde, "_BLOCK", 4)
-    monkeypatch.setattr(sde, "_workers", lambda work: 2)
+    monkeypatch.setattr(_pool, "_workers", lambda work, least: 2)
     cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=8, seed=0, x0=1e200, i0=1)
     with pytest.raises(ValueError, match="discounted cost is not finite"):
         mc_cost(p_bench, sol_bench, cfg)
@@ -299,19 +283,19 @@ def test_no_worker_outlives_a_failed_run(p_bench, sol_bench, monkeypatch, starte
 
 
 def test_worker_failures_reach_parent(started):
-    proc = sde._start((None,) * 9)  # _share fails on these in the worker
+    proc = _pool._start("regimeplan.sde", "_share", (None,) * 9)  # _share fails on these
     try:
         with pytest.raises(TypeError):
-            sde._collect(proc)
+            _pool._collect(proc)
     finally:
-        sde._end(proc)
-    proc = sde._start((None,) * 9)
+        _pool._end(proc)
+    proc = _pool._start("regimeplan.sde", "_share", (None,) * 9)
     proc.kill()  # long before it could write a result
     try:
         with pytest.raises(RuntimeError, match="engine worker exited with status -9"):
-            sde._collect(proc)
+            _pool._collect(proc)
     finally:
-        sde._end(proc)
+        _pool._end(proc)
     assert len(started) == 2 and all_reaped(started)
 
 
@@ -321,9 +305,9 @@ def test_two_shares_from_a_script_without_main_guard(p_bench, sol_bench, tmp_pat
     script = tmp_path / "no_guard.py"
     script.write_text(
         "import subprocess\n"
-        "from regimeplan import SimConfig, benchmark_params, mc_cost, sde, solve\n"
+        "from regimeplan import SimConfig, _pool, benchmark_params, mc_cost, sde, solve\n"
         "sde._BLOCK = 4\n"
-        "sde._workers = lambda work: 2\n"
+        "_pool._workers = lambda work, least: 2\n"
         "started = []\n"
         "popen = subprocess.Popen\n"
         "subprocess.Popen = lambda *a, **kw: started.append(1) or popen(*a, **kw)\n"
