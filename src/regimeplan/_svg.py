@@ -122,7 +122,7 @@ def line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
 
     for k, (label, xs, ys) in enumerate(prepared):
         color = _COLORS[k % len(_COLORS)]
-        pts = " ".join(f"{_fmt(px(a))},{_fmt(py(b))}" for a, b in zip(xs, ys))
+        pts = " ".join(map("{:.2f},{:.2f}".format, px(xs).tolist(), py(ys).tolist()))
         out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                    f'points="{pts}"/>')
 

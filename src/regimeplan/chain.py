@@ -37,6 +37,9 @@ _WALK_JUMPS = 1 << 13   # expected jumps per walked block, most draws per path a
 # fewest expected jumps worth a worker process: on a 2-core VM a worker took
 # 0.16-0.25 s to start and 2^21 jumps 0.2-0.7 s to walk (m = 2 to 8 regimes)
 _SHARE_JUMPS = 1 << 21
+# a path's own cost in jumps: on a 2-core VM a path took 30-35 us for its
+# generator and draw calls, and a jump of the two-state benchmark chain 0.1 us
+_PATH_JUMPS = 1 << 8
 
 __all__ = [
     "RegimePath",
@@ -272,7 +275,8 @@ def discounted_functional_mc(gen: Generator, r: float, g, i0: int,
     n_paths must be at least 2.  Raises ValueError, before any walk, unless
     r is positive and finite and g finite, and as _walks does.
 
-    A run expecting at least 2 x _SHARE_JUMPS jumps splits its paths into
+    A run expecting at least 2 x _SHARE_JUMPS jumps, counting _PATH_JUMPS
+    more for each path, splits its paths into
     contiguous shares, one per usable CPU (see _pool._workers): this process
     walks the first and a worker process each other one.  The per-path
     values land in global path order before the one reduction, so the result
@@ -282,7 +286,7 @@ def discounted_functional_mc(gen: Generator, r: float, g, i0: int,
     if n_paths < 2:
         raise ValueError("discounted_functional_mc needs n_paths >= 2")
     _walks(gen, i0, horizon, ())  # its checks, before any walk or worker
-    jumps = n_paths * horizon * float(np.max(-np.diag(gen.q)))
+    jumps = n_paths * (horizon * float(np.max(-np.diag(gen.q))) + _PATH_JUMPS)
     shares = min(_pool._workers(jumps, _SHARE_JUMPS), n_paths)
     cuts = [n_paths * s // shares for s in range(shares + 1)]
     args = [(gen, r, g, i0, horizon, seed, lo, hi) for lo, hi in zip(cuts, cuts[1:])]

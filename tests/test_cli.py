@@ -2,12 +2,15 @@
 
 import csv
 import json
+import math
+import re
 import xml.dom.minidom
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from regimeplan import cli
+from regimeplan import _svg, cli
 from regimeplan.model import params_to_config
 from regimeplan.reference import benchmark_params, expected_values
 from regimeplan.riccati import NonConvergence
@@ -172,6 +175,97 @@ def test_value_rejects_non_finite_grid(tmp_path, capsys):
         assert run(["value", f"--grid={grid}", "--out", str(tmp_path), "--label", label]) == 2
         assert message in capsys.readouterr().err
         assert [f.name for f in (tmp_path / "value" / label).iterdir()] == ["manifest.json"]
+
+
+@pytest.mark.parametrize("command", ["value", "sweep"])
+def test_grid_over_budget_exit_2(tmp_path, capsys, command):
+    # 2e9 points x 3 columns of 8 bytes: refused before any solve or allocation
+    extra = ["--param", "r"] if command == "sweep" else []
+    assert run([command, *extra, "--grid=0:1:2000000000", "--out", str(tmp_path),
+                "--label", "big"]) == 2
+    assert "GiB budget" in capsys.readouterr().err
+    assert [f.name for f in (tmp_path / command / "big").iterdir()] == ["manifest.json"]
+
+
+def test_grid_budget_counts_points_and_regimes(monkeypatch):
+    monkeypatch.setattr(cli, "_KEEP_BUDGET", 10 * 3 * 8)
+    assert cli._parse_grid("0:1:10", 2).shape == (10,)
+    with pytest.raises(ValueError, match="budget"):
+        cli._parse_grid("0:1:11", 2)
+    with pytest.raises(ValueError, match="budget"):
+        cli._parse_grid("0:1:10", 3)
+
+
+# values whose text is easy to get wrong: signed zero, a subnormal-adjacent
+# tiny number, an integer float64 cannot hold, and twelve significant digits
+AWKWARD = [-0.0, 1e-300, 2.0 ** 53 + 1, 123456.789012345, -9.87654321098e-7, 0.1 + 0.2,
+           1e22, -2.5, 0.0, 7.0]
+
+
+def csv_reference(header, columns):
+    """A CSV rendered one element at a time: the reference for the column writers."""
+    lines = [",".join(header)]
+    for cells in zip(*columns):
+        lines.append(",".join(str(v) if isinstance(v, int) else format(float(v), ".12g")
+                              for v in cells))
+    return "\n".join(lines) + "\n"
+
+
+def polylines_reference(series):
+    """line_plot's points attributes for (xs, ys) lists, one element at a time."""
+    kept = []
+    for xs, ys in series:
+        n = len(xs)
+        if n > _svg._MAX_POINTS:
+            keep = list(range(0, n, math.ceil(n / _svg._MAX_POINTS)))
+            if keep[-1] != n - 1:
+                keep.append(n - 1)
+            xs, ys = [xs[k] for k in keep], [ys[k] for k in keep]
+        kept.append((xs, ys))
+    x_lo = min(min(xs) for xs, _ in kept)
+    x_hi = max(max(xs) for xs, _ in kept)
+    y_lo = min(min(ys) for _, ys in kept)
+    y_hi = max(max(ys) for _, ys in kept)
+    pad = 0.04 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    ml, pw, mt, ph = 62.0, 720 - 62.0 - 16.0, 30.0, 440 - 30.0 - 46.0
+    return [" ".join(format(float(ml + (a - x_lo) / (x_hi - x_lo) * pw), ".2f") + ","
+                     + format(float(mt + (y_hi - b) / (y_hi - y_lo) * ph), ".2f")
+                     for a, b in zip(xs, ys)) for xs, ys in kept]
+
+
+def polylines(svg):
+    return re.findall(r'<polyline [^>]*points="([^"]*)"', svg)
+
+
+def test_writers_match_per_element_rendering(tmp_path):
+    rng = np.random.default_rng(9)
+    grid = np.array(AWKWARD)
+    curves = [("a", "curve a", np.array(AWKWARD[::-1])),
+              ("b", "curve b", rng.standard_normal(len(AWKWARD)) * 1e3)]
+    cli._write_curves(tmp_path / "c.csv", tmp_path / "c.svg", grid, curves, "t", "y")
+    assert (tmp_path / "c.csv").read_text() == csv_reference(
+        ["x", "a", "b"], [grid.tolist()] + [v.tolist() for _, _, v in curves])
+    svg = (tmp_path / "c.svg").read_text()
+    assert polylines(svg) == polylines_reference([(grid.tolist(), v.tolist())
+                                                  for _, _, v in curves])
+
+    # a path longer than the plot keeps, so the polyline is subsampled
+    n = _svg._MAX_POINTS + 7
+    times = np.linspace(0.0, 1.0, n)
+    x = rng.standard_normal(n)
+    x[:len(AWKWARD)] = AWKWARD
+    u = -x * 1e-3
+    regime = rng.integers(1, 4, n)
+    cost = np.cumsum(np.abs(x))
+    path = SimpleNamespace(times=times, x=x, u=u, regime=regime, disc_cost=cost)
+    cli._write_path(path, tmp_path / "p.csv", tmp_path / "p.svg", "path")
+    assert (tmp_path / "p.csv").read_text() == csv_reference(
+        ["t", "x", "u", "regime", "disc_cost"],
+        [times.tolist(), x.tolist(), u.tolist(), [int(i) for i in regime], cost.tolist()])
+    svg = (tmp_path / "p.svg").read_text()
+    assert polylines(svg) == polylines_reference([(times.tolist(), x.tolist()),
+                                                  (times.tolist(), u.tolist())])
 
 
 def test_simulate_artifacts(tmp_path):

@@ -153,11 +153,52 @@ def test_config_rejects_bool_value(p_bench):
 
 @pytest.mark.parametrize("key, value", [("r", float("inf")), ("theta", [float("nan"), 2.5]),
                                         ("Q", [-1.0, float("-inf"), 1.0, -1.0]),
-                                        ("N", [0.4, 10 ** 400])])
+                                        ("N", [0.4, 10 ** 400]),
+                                        ("Q", [float("nan"), 1.0, 1.0, -1.0]),
+                                        ("R", [10 ** 400, 0.4])])
 def test_config_rejects_non_finite(p_bench, key, value):
     raw = params_to_config(p_bench)
     raw[key] = value
     with pytest.raises(ConfigError, match=f"key '{key}' must be finite"):
+        params_from_config(raw)
+
+
+def test_config_accepts_numpy_floats(p_bench):
+    raw = params_to_config(p_bench)
+    raw["Q"] = [np.float64(v) for v in raw["Q"]]
+    raw["N"] = [np.float64(raw["N"][0]), raw["N"][1]]
+    p2 = params_from_config(raw)
+    assert np.array_equal(p2.gen.q, p_bench.gen.q)
+    assert np.array_equal(p2.N, p_bench.N)
+
+
+def test_config_lists_convert_like_float(p_bench):
+    # integers beyond 2^53 and mixed int/float lists round exactly as float() does
+    raw = params_to_config(p_bench)
+    raw["theta"] = [2 ** 53 + 1, 2 ** 70 + 3]
+    raw["c"] = [3, 0.1]
+    p2 = params_from_config(raw)
+    assert p2.theta.tolist() == [float(2 ** 53 + 1), float(2 ** 70 + 3)]
+    assert p2.c.tolist() == [3.0, 0.1]
+
+
+@pytest.mark.parametrize("bad", [True, "1", None, [1.0]])
+@pytest.mark.parametrize("key", ["Q", "theta"])
+def test_config_list_rejects_non_number(p_bench, key, bad):
+    raw = params_to_config(p_bench)
+    raw[key] = raw[key][:-1] + [bad]
+    with pytest.raises(ConfigError, match=f"key '{key}' must be a number"):
+        params_from_config(raw)
+
+
+def test_config_list_reports_first_bad_entry(p_bench):
+    # the per-entry scan reports the NaN, which comes before the string
+    raw = params_to_config(p_bench)
+    raw["Q"] = [-1.0, float("nan"), "1", -1.0]
+    with pytest.raises(ConfigError, match="key 'Q' must be finite"):
+        params_from_config(raw)
+    raw["Q"] = [-1.0, "1", float("nan"), -1.0]
+    with pytest.raises(ConfigError, match="key 'Q' must be a number"):
         params_from_config(raw)
 
 

@@ -165,3 +165,55 @@ def test_elimination_size_cap():
     elimination_solve(p)  # within the cap
     with pytest.raises(ValueError, match="m <= 4"):
         elimination_solve(big)
+
+
+def test_elimination_matches_newton_at_m4():
+    rng = np.random.default_rng(44)
+    for _ in range(5):
+        p = random_params(rng, m=4)
+        phi_elim = elimination_solve(p)
+        assert np.max(np.abs(solve_are(p) - phi_elim)) <= 1e-8
+        assert np.max(np.abs(are_residual(phi_elim, p))) <= 1e-10
+
+
+def test_elimination_identical_regimes_closed_form():
+    # equal regimes: the couplings cancel and each phi(i) is the scalar root
+    r, n, big_r = 0.05, 0.7, 0.3
+    p = ModelParams(gen=Generator.two_state_symmetric(1.3), r=r, theta=[1.0, 1.0],
+                    sigma=[0.5, 0.5], c=[2.0, 2.0], h=[3.0, 3.0], N=[n, n], R=[big_r, big_r])
+    phi_exact = 0.5 * big_r * (-r + math.sqrt(r * r + 4.0 * n / big_r))
+    phi = elimination_solve(p)
+    assert phi == pytest.approx([phi_exact, phi_exact], rel=1e-14)
+
+
+def test_elimination_wide_weight_scales():
+    q = [[0.0, 0.5, 0.2, 0.3], [0.4, 0.0, 0.1, 0.6],
+         [1.0, 0.2, 0.0, 0.8], [0.3, 0.3, 0.3, 0.0]]
+    ones = np.ones(4)
+    p = ModelParams(gen=Generator(q), r=0.05, theta=ones, sigma=ones, c=ones, h=ones,
+                    N=[1e-6, 0.3, 40.0, 1e3], R=[0.5, 2.0, 0.1, 1.0])
+    phi_elim = elimination_solve(p)
+    phi_newton = solve_are(p)
+    assert np.max(np.abs(phi_newton - phi_elim)) <= 1e-8
+    assert np.max(np.abs(are_residual(phi_elim, p))) <= 1e-10
+
+
+@pytest.mark.parametrize("f, root", [(lambda t: t * t - 2.0, math.sqrt(2.0)),
+                                     (lambda t: math.sqrt(t) - 0.3, 0.09)],
+                         ids=["convex", "concave"])
+def test_bracketed_root_converges_in_few_steps(f, root):
+    # a convex f pins the upper end and a concave f the lower one, so each
+    # case needs its own Illinois halving
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return f(t)
+
+    assert abs(riccati._bracketed_root(counted, 0) - root) <= math.ulp(root)
+    assert len(calls) <= 15  # bisection would take ~55
+
+
+def test_bracketed_root_reports_missing_sign_change():
+    with pytest.raises(riccati.BracketFailure, match="coordinate 3"):
+        riccati._bracketed_root(lambda t: -1.0, 2)
