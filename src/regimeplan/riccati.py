@@ -192,9 +192,12 @@ def elimination_solve(p: ModelParams) -> np.ndarray:
     For fixed (phi_2, ..., phi_m) the first equation is a scalar quadratic in
     phi_1 with exactly one nonnegative root, available in closed form:
 
-        phi_1 = [-(r + s_1) + sqrt((r + s_1)^2 + 4 (N_1 + coupling)/R_1)] * R_1 / 2,
+        phi_1 = 2 (N_1 + coupling) / [(r + s_1) + sqrt((r + s_1)^2 + 4 (N_1 + coupling)/R_1)],
 
-    with s_i the exit rate of regime i.  Substituting that root eliminates
+    with s_i the exit rate of regime i and coupling = sum_{j != 1} q_1j phi_j.
+    This is the textbook root R_1 [-(r + s_1) + sqrt(...)] / 2 rationalised: the
+    textbook form cancels where 4 (N_1 + coupling)/R_1 is far below (r + s_1)^2,
+    this one adds two positive terms.  Substituting that root eliminates
     phi_1; each remaining coordinate is then found by _bracketed_root (the
     residual at 0 is <= -N(i) < 0, and an upper bracket is found by doubling),
     recursing through the last coordinate.  The nest runs on Python floats and
@@ -218,7 +221,7 @@ def elimination_solve(p: ModelParams) -> np.ndarray:
             for j in range(1, m):
                 coupling += q[0][j] * x[j]
             disc = lin[0] * lin[0] + 4.0 * (big_n[0] + coupling) / big_r[0]
-            x[0] = big_r[0] * (-lin[0] + math.sqrt(disc)) / 2.0
+            x[0] = 2.0 * (big_n[0] + coupling) / (lin[0] + math.sqrt(disc))
             return
         row, rk, lk, nk = q[k], big_r[k], lin[k], big_n[k]
 

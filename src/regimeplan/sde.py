@@ -29,18 +29,24 @@ per-step regime lookup either.
 
 Every path owns fixed random streams keyed by (seed, path index), with the
 regime path drawn from one substream and the normals from another.  Paths
-run in blocks of _BLOCK and time in chunks of _CHUNK grid nodes: a block's
-jump times become events at the first grid node at or after each jump, and
-its normals are drawn _CHUNK at a time per path (equal, bit for bit, to one
-full draw) and turned time-major.  A block holds all its paths' jumps, so
-it narrows below _BLOCK paths where horizon x (largest exit rate) would
-bring more than chain._BLOCK_JUMPS expected jumps, and the chain walk
-refuses a path that alone expects more; memory thus grows by one float per
-path.  The engine keeps per-path reductions and, at the grid nodes a caller
-lists and within _KEEP_BUDGET bytes, every path's state, regime and running
-cost: asymptotic_decay lists its checkpoints, and simulate_controlled lists
-every node and derives u through the law, so kept paths take the same step
-and the same quadrature as the estimates.  Every per-path operation is
+run in blocks of _BLOCK and time in chunks of _CHUNK grid nodes.  As the
+chain walk yields a block's paths, their jumps are cut to events: each
+path's last jump before a grid node, at the first node at or after it, in
+the narrowest integer dtypes the node count, block width and m allow (5
+bytes an event on the benchmark, about three times that while they are
+sorted by node).  The normals are drawn _CHUNK at a time per path (equal,
+bit for bit, to one full draw), 64 paths at a time, and turned time-major.
+A block's working set is thus its (_CHUNK x width) float increments (8 MiB
+at full width), its events and a few floats per path: a 2048-path block at
+T = 200 and dt = 0.01 traces at 15 MiB.  A block holds all its paths'
+events, so it narrows below _BLOCK paths where horizon x (largest exit
+rate) would bring more than chain._BLOCK_JUMPS expected jumps, and the
+chain walk refuses a path that alone expects more; past one block, memory
+grows by one float per path.  The engine keeps per-path reductions and, at
+the grid nodes a caller lists and within _KEEP_BUDGET bytes, every path's
+state, regime and running cost: asymptotic_decay lists its checkpoints, and
+simulate_controlled lists every node and derives u through the law, so kept
+paths take the same step and the same quadrature as the estimates.  Every per-path operation is
 elementwise and runs in grid order, and all reductions run over arrays in
 global path order, so a given SimConfig produces bit-identical results
 whatever the block and chunk sizes.
@@ -190,28 +196,45 @@ def _affine_tables(p: ModelParams, coeffs: PolicyCoefficients, dt: float) -> np.
     return np.array([1.0 + s * dt, (k - p.theta) * dt, p.sigma, xstar, 0.5 * curv, gamma])
 
 
+def _int_dtype(bound: int):
+    """The narrowest signed integer dtype that holds 0..bound."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
 def _jump_events(p: ModelParams, cfg: SimConfig, lo: int, hi: int):
     """Regime changes of paths lo..hi-1 on the grid, sorted by node.
 
-    Returns (node, path offset, new 0-based state) arrays.  A jump at time t
-    takes effect at the first grid node k with k dt >= t, as in
-    chain.regimes_on_grid; when a path jumps more than once before the next
-    node only its last state is kept.
+    Returns (node, path offset, new 0-based state) arrays, each in the
+    narrowest integer dtype its bound allows (n_steps + 1, hi - lo - 1 and
+    m - 1).  A jump at time t takes effect at the first grid node k with
+    k dt >= t, as in chain.regimes_on_grid; when a path jumps more than once
+    before the next node only its last state is kept.  Each block the chain
+    walk yields is cut to these kept events as it arrives, so the paths'
+    whole walk is never held at once; one stable sort then orders them by
+    node, each node's events in path order.
     """
-    path, t, state = map(np.concatenate, zip(*chain._walks(
-        p.gen, cfg.i0, cfg.n_steps * cfg.dt, ([cfg.seed, k, 0] for k in range(lo, hi)))))
-    jump = np.r_[False, path[1:] == path[:-1]]  # all but each path's start
-    path, t, state = path[jump], t[jump], state[jump]
-    # grid node k sits at k * dt exactly; t / dt may round across a node
-    node = np.ceil(t / cfg.dt)
-    node += node * cfg.dt < t
-    node -= (node - 1.0) * cfg.dt >= t
-    node = node.astype(np.intp)
-    order = np.argsort(node, kind="stable")  # keeps each path's jumps in time order
-    node, path, state = node[order], path[order], state[order]
-    last = np.ones(node.shape[0], dtype=bool)
-    last[:-1] = (node[1:] != node[:-1]) | (path[1:] != path[:-1])
-    return node[last], path[last], state[last]
+    n, dt = cfg.n_steps, cfg.dt
+    types = _int_dtype(n + 1), _int_dtype(hi - lo - 1), _int_dtype(p.m - 1)
+    parts = []
+    for path, t, state in chain._walks(p.gen, cfg.i0, n * dt,
+                                       ([cfg.seed, k, 0] for k in range(lo, hi))):
+        jump = np.r_[False, path[1:] == path[:-1]]  # all but each path's start
+        path, t, state = path[jump], t[jump], state[jump]
+        # grid node k sits at k * dt exactly; t / dt may round across a node
+        node = np.ceil(t / dt)
+        node += node * dt < t
+        node -= (node - 1.0) * dt >= t
+        # a path's jumps come in time order, so its last one before a node ends a run
+        last = np.ones(node.shape[0], dtype=bool)
+        last[:-1] = (node[1:] != node[:-1]) | (path[1:] != path[:-1])
+        parts.append(tuple(a[last].astype(ty) for a, ty in zip((node, path, state), types)))
+    node, path, state = (np.concatenate(a) for a in zip(*parts))
+    del parts
+    order = np.argsort(node, kind="stable")  # keeps each node's events in path order
+    return node[order], path[order], state[order]
 
 
 @dataclass
@@ -319,7 +342,7 @@ def _share(p: ModelParams, tables: np.ndarray, policy, cfg: SimConfig, lo: int, 
     costs = np.empty(n_paths)
     tail_max = 0.0
     width = min(width, n_paths)
-    z_paths = np.empty((width, chunk))
+    tile = np.empty((64, chunk))
     dw_time = np.empty((chunk, width))
     for b0 in range(0, n_paths, width):
         b1 = min(b0 + width, n_paths)
@@ -337,19 +360,23 @@ def _share(p: ModelParams, tables: np.ndarray, policy, cfg: SimConfig, lo: int, 
         for c0 in range(0, n + 1, chunk):
             c1 = min(c0 + chunk, n + 1)
             steps = min(c1, n) - c0
-            zp = z_paths[:nb, :steps]
-            for k, gen in enumerate(normals):
-                gen.standard_normal(out=zp[k])
             dw = dw_time[:steps, :nb]
-            for j in range(0, nb, 64):  # tiled transpose, several times faster
-                np.multiply(zp[j:j + 64].T, sqrt_dt, out=dw[:, j:j + 64])
-            bounds = np.searchsorted(ev_node, np.arange(c0, c1 + 1)).tolist()
+            for j in range(0, nb, 64):  # 64 paths at a time, turned time-major
+                zt = tile[:min(64, nb - j), :steps]
+                for z, gen in zip(zt, normals[j:j + 64]):
+                    gen.standard_normal(out=z)
+                np.multiply(zt.T, sqrt_dt, out=dw[:, j:j + 64])
+            bounds = np.searchsorted(ev_node, np.arange(c0, c1 + 1, dtype=ev_node.dtype))
+            e_lo, e_hi = int(bounds[0]), int(bounds[-1])
+            ch_path = ev_path[e_lo:e_hi].astype(np.intp)  # index arrays, once per chunk
+            ch_state = ev_state[e_lo:e_hi].astype(np.intp)
+            bounds = (bounds - e_lo).tolist()
             disc = np.exp(-r * (np.arange(c0, c1) * dt)).tolist()
             for t in range(c1 - c0):
                 node = c0 + t
                 e0, e1 = bounds[t], bounds[t + 1]
                 if e0 < e1:
-                    cols, new = ev_path[e0:e1], ev_state[e0:e1]
+                    cols, new = ch_path[e0:e1], ch_state[e0:e1]
                     reg[cols] = new
                     cur[:, cols] = tables[:, new]
                 if policy is not None:
@@ -386,6 +413,7 @@ def _share(p: ModelParams, tables: np.ndarray, policy, cfg: SimConfig, lo: int, 
                     np.add(x, tmp, out=x)
         costs[b0:b1] = cost
         tail_max = max(tail_max, float(tail.max()))
+        del ev_node, ev_path, ev_state, ch_path, ch_state, normals  # before the next walk
     return costs, tail_max, rec_x, rec_reg, rec_cost
 
 

@@ -1,6 +1,8 @@
 """Coupled quadratic system: Newton solver, elimination oracle, certificates."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +198,26 @@ def test_elimination_wide_weight_scales():
     phi_newton = solve_are(p)
     assert np.max(np.abs(phi_newton - phi_elim)) <= 1e-8
     assert np.max(np.abs(are_residual(phi_elim, p))) <= 1e-10
+
+
+def test_elimination_keeps_relative_accuracy_at_small_state_weights():
+    # with N scaled by 1e-9, 4 (N_1 + coupling)/R_1 is far below (r + s_1)^2:
+    # the textbook first root cancels to ~1e-8 relative, the rationalised one
+    # stays at rounding; instances are drawn as the benchmark draws its m <= 3 ones
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for m in (1, 2, 3):
+        for _ in range(20):
+            p = workloads.random_params(rng, m, 0.1, 3.0)
+            p = p.replace(N=p.N * 1e-9)
+            phi = elimination_solve(p)
+            terms = phi * phi / p.R + p.r * phi + np.abs(p.gen.q) @ phi + p.N
+            worst = max(worst, float(np.max(np.abs(are_residual(phi, p)) / terms)))
+    assert worst <= 1e-14
 
 
 @pytest.mark.parametrize("f, root", [(lambda t: t * t - 2.0, math.sqrt(2.0)),

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from regimeplan import (
     SimConfig,
     adjoint_residual,
     asymptotic_decay,
+    benchmark_params,
     mc_cost,
     policy_coefficients,
     shifted_policy,
@@ -337,6 +339,78 @@ def test_jumps_land_where_regimes_on_grid_puts_them(p_bench, sol_bench):
                                       regimes_on_grid(path.jump_times, path.states, times))
                 matched += 1
     assert matched == 72
+
+
+def concatenated_jump_events(p, cfg, lo, hi):
+    """The jump events the streamed reduction replaced: the oracle.
+
+    It concatenates the paths' whole walk as int64 and float64 arrays, sorts
+    every jump by node and only then keeps each path's last jump before a node.
+    """
+    path, t, state = map(np.concatenate, zip(*chain._walks(
+        p.gen, cfg.i0, cfg.n_steps * cfg.dt, ([cfg.seed, k, 0] for k in range(lo, hi)))))
+    jump = np.r_[False, path[1:] == path[:-1]]
+    path, t, state = path[jump], t[jump], state[jump]
+    node = np.ceil(t / cfg.dt)
+    node += node * cfg.dt < t
+    node -= (node - 1.0) * cfg.dt >= t
+    node = node.astype(np.intp)
+    order = np.argsort(node, kind="stable")
+    node, path, state = node[order], path[order], state[order]
+    last = np.ones(node.shape[0], dtype=bool)
+    last[:-1] = (node[1:] != node[:-1]) | (path[1:] != path[:-1])
+    return node[last], path[last], state[last]
+
+
+def chain_params(gen):
+    """ModelParams around gen; _jump_events reads only the chain."""
+    one = np.ones(gen.m)
+    return ModelParams(gen=gen, r=0.05, theta=one, sigma=one, c=one, h=one, N=one, R=one)
+
+
+EVENT_CASES = {
+    # name: generator, horizon, dt, paths, dtypes of node, path offset and state
+    "benchmark": (benchmark_params().gen, 200.0, 0.01, 256, (np.int16, np.int16, np.int8)),
+    # 2000 jumps a path: the chain walks blocks of 4 paths
+    "narrow blocks": (Generator.two_state_symmetric(10.0), 200.0, 0.5, 40,
+                      (np.int16, np.int8, np.int8)),
+    "200 regimes": (Generator(np.random.default_rng(200).uniform(0.0, 1.0, size=(200, 200))),
+                    20.0, 0.05, 64, (np.int16, np.int8, np.int16)),
+    # about 20 jumps between two nodes
+    "jumps between nodes": (Generator.two_state_symmetric(40.0), 20.0, 0.5, 30,
+                            (np.int8, np.int8, np.int8)),
+}
+
+
+@pytest.mark.parametrize("name", list(EVENT_CASES))
+def test_streamed_jump_events_match_concatenated(name):
+    gen, horizon, dt, n_paths, dtypes = EVENT_CASES[name]
+    p = chain_params(gen)
+    cfg = SimConfig(dt=dt, horizon=horizon, n_paths=n_paths + 5, seed=31, x0=0.0, i0=1)
+    got = sde._jump_events(p, cfg, 5, 5 + n_paths)
+    want = concatenated_jump_events(p, cfg, 5, 5 + n_paths)
+    assert [a.dtype for a in got] == [np.dtype(d) for d in dtypes]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    if name == "jumps between nodes":  # of ~20 jumps a step, each path keeps one
+        assert got[0].size == n_paths * cfg.n_steps
+
+
+def test_block_working_set_stays_bounded():
+    # one full block whose kept events outweigh its time-major normals: the
+    # traced peak stays within those normals, 32 bytes per kept event and 4 MiB
+    p = benchmark_params().replace(gen=Generator.two_state_symmetric(8.0))
+    cfg = SimConfig(dt=0.05, horizon=50.0, n_paths=2048, seed=3, x0=0.0, i0=1)
+    tables = sde._affine_tables(p, policy_coefficients(solve(p), p), cfg.dt)
+    events = sde._jump_events(p, cfg, 0, 2048)[0].size
+    tracemalloc.start()
+    try:
+        sde._share(p, tables, None, cfg, 0, 2048, 2048, sde._CHUNK, ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert events == 676_346
+    assert peak <= 8 * sde._CHUNK * 2048 + 32 * events + (4 << 20)
 
 
 def test_kept_paths_share_estimate_arithmetic(p_bench, sol_bench):
