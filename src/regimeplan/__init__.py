@@ -36,7 +36,6 @@ from .policy import (
 )
 from .reference import SWEEPS, benchmark_params, expected_values, sweep_params
 from .riccati import (
-    BracketFailure,
     DominanceCertificate,
     NonConvergence,
     RiccatiSolution,
@@ -61,7 +60,6 @@ from .sde import (
 
 __all__ = [
     "__version__",
-    "BracketFailure",
     "ConfigError",
     "ControlledPath",
     "DominanceCertificate",

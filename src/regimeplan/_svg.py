@@ -16,16 +16,18 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#17becf", "#8c564b", "#7f7f7f")
 _SHADES = ("#e8e8e8", "#d4dce8", "#e6d8d8")
 _MAX_POINTS = 4000
+_WIDTH, _HEIGHT = 720, 440
+_N_TICKS = 5
 
 
 def _fmt(v: float) -> str:
     return format(float(v), ".2f")
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
+def _ticks(lo: float, hi: float):
     # round step to 1/2/5 x 10^k so tick labels stay short
     span = hi - lo
-    raw = span / max(n - 1, 1)
+    raw = span / (_N_TICKS - 1)
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -41,7 +43,7 @@ def _ticks(lo: float, hi: float, n: int = 5):
 
 
 def line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
-              spans=(), width: int = 720, height: int = 440) -> str:
+              spans=()) -> str:
     """Render (label, x, y) series to an SVG document string.
 
     spans is a sequence of (x0, x1, level) shaded vertical bands drawn behind
@@ -77,8 +79,8 @@ def line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
     y_hi += pad_y
 
     ml, mr, mt, mb = 62.0, 16.0, 30.0, 46.0
-    pw = width - ml - mr
-    ph = height - mt - mb
+    pw = _WIDTH - ml - mr
+    ph = _HEIGHT - mt - mb
 
     def px(v):
         return ml + (v - x_lo) / (x_hi - x_lo) * pw
@@ -88,10 +90,10 @@ def line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
 
     out = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
-    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-               f'height="{height}" viewBox="0 0 {width} {height}" '
+    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+               f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}" '
                f'font-family="sans-serif" font-size="12">')
-    out.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>')
+    out.append(f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>')
 
     for x0, x1, level in spans:
         a = max(px(max(x0, x_lo)), ml)
@@ -139,7 +141,7 @@ def line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
         out.append(f'<text x="{_fmt(ml + pw / 2)}" y="18" text-anchor="middle" '
                    f'font-size="14">{escape(title)}</text>')
     if xlabel:
-        out.append(f'<text x="{_fmt(ml + pw / 2)}" y="{_fmt(height - 10.0)}" '
+        out.append(f'<text x="{_fmt(ml + pw / 2)}" y="{_fmt(_HEIGHT - 10.0)}" '
                    f'text-anchor="middle">{escape(xlabel)}</text>')
     if ylabel:
         out.append(f'<text x="14" y="{_fmt(mt + ph / 2)}" text-anchor="middle" '

@@ -26,7 +26,6 @@ from .model import ModelParams
 
 __all__ = [
     "NonConvergence",
-    "BracketFailure",
     "DominanceCertificate",
     "RiccatiSolution",
     "are_residual",
@@ -53,14 +52,6 @@ class NonConvergence(RuntimeError):
     def __init__(self, message: str, residual: float) -> None:
         super().__init__(message)
         self.residual = residual
-
-
-class BracketFailure(RuntimeError):
-    """The elimination root-finder could not bracket a sign change.
-
-    This signals a bug, not a model property: a nonnegative solution always
-    exists for valid parameters.
-    """
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,10 +189,17 @@ def elimination_solve(p: ModelParams) -> np.ndarray:
     This is the textbook root R_1 [-(r + s_1) + sqrt(...)] / 2 rationalised: the
     textbook form cancels where 4 (N_1 + coupling)/R_1 is far below (r + s_1)^2,
     this one adds two positive terms.  Substituting that root eliminates
-    phi_1; each remaining coordinate is then found by _bracketed_root (the
-    residual at 0 is <= -N(i) < 0, and an upper bracket is found by doubling),
-    recursing through the last coordinate.  The nest runs on Python floats and
-    shares no code with the Newton route.
+    phi_1; each remaining coordinate is then found by _bracketed_root on
+    [0, cbar], recursing through the last coordinate.  The constant vector
+    cbar = max_i 2 N_i / (r + sqrt(r^2 + 4 N_i/R_i)) is a supersolution (Q
+    annihilates constants), and the off-diagonal rates are nonnegative, so
+    every partially eliminated residual is <= -N_k at 0 and
+    >= cbar^2/R_k + r cbar - N_k >= 0 at cbar.  The nest runs on Python
+    floats and shares no code with the Newton route.
+
+    Raises :class:`NonConvergence` unless every row's residual is at most
+    1e-12 of the sum of its terms' magnitudes,
+    phi_i^2/R_i + r phi_i + sum_j |q_ij| phi_j + N_i.
     """
     _require_solvable(p)
     m = p.m
@@ -210,7 +208,9 @@ def elimination_solve(p: ModelParams) -> np.ndarray:
     q = p.gen.q.tolist()
     big_r = p.R.tolist()
     big_n = p.N.tolist()
-    lin = [p.r - q[i][i] for i in range(m)]  # r + exit rate of regime i
+    r = p.r
+    lin = [r - q[i][i] for i in range(m)]  # r + exit rate of regime i
+    cbar = max(2.0 * n / (r + math.sqrt(r * r + 4.0 * n / rr)) for n, rr in zip(big_n, big_r))
     x = [0.0] * m  # the current point: solved head, trial coordinate, fixed tail
 
     def solve_prefix(k: int) -> None:
@@ -234,40 +234,35 @@ def elimination_solve(p: ModelParams) -> np.ndarray:
                     coupling += row[j] * x[j]
             return t * t / rk + lk * t - coupling - nk
 
-        x[k] = _bracketed_root(residual_k, k)
+        x[k] = _bracketed_root(residual_k, cbar)
         solve_prefix(k - 1)
 
     solve_prefix(m - 1)
     phi = np.array(x)
-    norm = float(np.max(np.abs(are_residual(phi, p))))
-    if norm > 1e-10:
+    terms = phi * phi / p.R + r * phi + np.abs(p.gen.q) @ phi + p.N
+    worst = float(np.max(np.abs(are_residual(phi, p)) / terms))
+    if not worst <= 1e-12:  # a NaN residual fails too
         raise NonConvergence(
-            f"elimination residual {norm:.3e} above tol=1e-10", norm)
+            f"elimination relative residual {worst:.3e} above tol=1e-12", worst)
     return phi
 
 
-def _bracketed_root(f, k: int) -> float:
-    """The sign change of f on [0, inf), for f(0) < 0 and f eventually positive.
+def _bracketed_root(f, hi: float) -> float:
+    """The sign change of f on [0, hi], for f(0) < 0 and f(hi) >= 0.
 
-    The upper end starts at 1 and doubles until f turns positive, each
-    non-positive end becoming the lower one.  The bracket then shrinks by
-    false position with the Illinois modification (Dowell and Jarratt, BIT
-    11, 1971): an end kept twice in a row has its f value halved.  A trial point
-    outside the open bracket is replaced by the midpoint.  The search stops
-    when the ends are adjacent floats, and returns their midpoint.  Where
-    bisection takes ~55 evaluations per level, this takes 11-42 at m = 2.
+    Returns hi if f(hi) <= 0, which only rounding can cause for the caller's
+    bracket, and returns any trial point where f is exactly 0.  Otherwise
+    the bracket shrinks by false position with the Illinois modification
+    (Dowell and Jarratt, BIT 11, 1971): an end kept twice in a row has its f
+    value halved.  A trial point outside the open bracket is replaced by the
+    midpoint.  The search stops when the ends are adjacent floats, and
+    returns their midpoint.  Where bisection takes ~55 evaluations per
+    level, this takes 8-34 (median 11) at m = 2.
     """
     lo, f_lo = 0.0, f(0.0)
-    hi = 1.0
     f_hi = f(hi)
-    doublings = 0
-    while f_hi <= 0.0:
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
-        doublings += 1
-        if doublings > 200:
-            raise BracketFailure(f"no sign change for coordinate {k + 1} below {hi:g}")
-        f_hi = f(hi)
+    if f_hi <= 0.0:
+        return hi
     side = 0  # +1 after the upper end moved, -1 after the lower end moved
     while hi - lo > math.ulp(hi):
         t = hi - f_hi * (hi - lo) / (f_hi - f_lo)
@@ -281,11 +276,13 @@ def _bracketed_root(f, k: int) -> float:
             if side > 0:
                 f_lo *= 0.5
             side = 1
-        else:
+        elif f_t < 0.0:
             lo, f_lo = t, f_t
             if side < 0:
                 f_hi *= 0.5
             side = -1
+        else:
+            return t
     return 0.5 * (lo + hi)
 
 

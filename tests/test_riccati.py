@@ -23,9 +23,41 @@ from regimeplan import riccati
 
 from conftest import random_params
 
+# perfbench's instance generator, which the benchmark's Newton-vs-elimination ops draw from
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
 # independently frozen benchmark solution (12-digit run, rounded to 8 decimals)
 PHI_BENCH = np.array([0.40833148, 0.36221726])
 PSI_BENCH = np.array([-0.54891677, -0.23297408])
+
+
+def relative_residual(phi, p):
+    """max_i |F_i(phi)| over the magnitudes of row i's terms."""
+    terms = phi * phi / p.R + p.r * phi + np.abs(p.gen.q) @ phi + p.N
+    return float(np.max(np.abs(are_residual(phi, p)) / terms))
+
+
+@pytest.fixture
+def root_evaluations(monkeypatch):
+    """Evaluations of f in each _bracketed_root call, in call order."""
+    counts = []
+    bracketed_root = riccati._bracketed_root
+
+    def counted(f, *args):
+        counts.append(0)
+        slot = len(counts) - 1
+
+        def g(t):
+            counts[slot] += 1
+            return f(t)
+
+        return bracketed_root(g, *args)
+
+    monkeypatch.setattr(riccati, "_bracketed_root", counted)
+    return counts
 
 
 def one_regime_params():
@@ -178,14 +210,17 @@ def test_elimination_matches_newton_at_m4():
         assert np.max(np.abs(are_residual(phi_elim, p))) <= 1e-10
 
 
-def test_elimination_identical_regimes_closed_form():
-    # equal regimes: the couplings cancel and each phi(i) is the scalar root
+def test_elimination_identical_regimes_closed_form(root_evaluations):
+    # equal regimes: the couplings cancel and each phi(i) is the scalar root,
+    # which is also the upper end of the bracket; rounding leaves f <= 0 there,
+    # so the search returns that end after evaluating f at both ends
     r, n, big_r = 0.05, 0.7, 0.3
     p = ModelParams(gen=Generator.two_state_symmetric(1.3), r=r, theta=[1.0, 1.0],
                     sigma=[0.5, 0.5], c=[2.0, 2.0], h=[3.0, 3.0], N=[n, n], R=[big_r, big_r])
     phi_exact = 0.5 * big_r * (-r + math.sqrt(r * r + 4.0 * n / big_r))
     phi = elimination_solve(p)
     assert phi == pytest.approx([phi_exact, phi_exact], rel=1e-14)
+    assert root_evaluations == [2]
 
 
 def test_elimination_wide_weight_scales():
@@ -204,26 +239,61 @@ def test_elimination_keeps_relative_accuracy_at_small_state_weights():
     # with N scaled by 1e-9, 4 (N_1 + coupling)/R_1 is far below (r + s_1)^2:
     # the textbook first root cancels to ~1e-8 relative, the rationalised one
     # stays at rounding; instances are drawn as the benchmark draws its m <= 3 ones
-    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     rng = np.random.default_rng(0)
     worst = 0.0
     for m in (1, 2, 3):
         for _ in range(20):
             p = workloads.random_params(rng, m, 0.1, 3.0)
             p = p.replace(N=p.N * 1e-9)
-            phi = elimination_solve(p)
-            terms = phi * phi / p.R + p.r * phi + np.abs(p.gen.q) @ phi + p.N
-            worst = max(worst, float(np.max(np.abs(are_residual(phi, p)) / terms)))
+            worst = max(worst, relative_residual(elimination_solve(p), p))
     assert worst <= 1e-14
 
 
-@pytest.mark.parametrize("f, root", [(lambda t: t * t - 2.0, math.sqrt(2.0)),
-                                     (lambda t: math.sqrt(t) - 0.3, 0.09)],
+def test_elimination_outer_level_takes_few_evaluations(root_evaluations):
+    # an exact zero of the outer residual used to become the lower end, after
+    # which the search bisected from there; it now returns that point
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        elimination_solve(workloads.random_params(rng, 2, 0.1, 3.0))
+    assert len(root_evaluations) == 6  # m = 2: one bracketed level per solve
+    assert sum(root_evaluations) <= 100
+
+
+@pytest.mark.parametrize("scale", ["N x 1e9", "N x 1e-9", "R x 1e-9", "rate 1e8"])
+def test_elimination_scale_relative_at_extreme_scales(p_bench, scale):
+    p = {"N x 1e9": p_bench.replace(N=p_bench.N * 1e9),
+         "N x 1e-9": p_bench.replace(N=p_bench.N * 1e-9),
+         "R x 1e-9": p_bench.replace(R=p_bench.R * 1e-9),
+         "rate 1e8": p_bench.replace(gen=Generator.two_state_symmetric(1e8))}[scale]
+    assert relative_residual(elimination_solve(p), p) <= 1e-14
+
+
+def test_elimination_refuses_an_overflowing_residual():
+    # phi is ~1e300, so phi^2/R overflows and the relative residual is inf/inf
+    p = one_regime_params().replace(N=[1e300], R=[1e300])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonConvergence):
+        elimination_solve(p)
+
+
+def test_elimination_solves_draws_over_wide_scales():
+    # m = 1-4; N and R log-uniform over 1e-9..1e9; off-diagonal rates
+    # log-uniform over 1e-3..1e3 with 30% zeros; r log-uniform over 1e-3..1
+    rng = np.random.default_rng(20261019)
+    for _ in range(300):
+        m = int(rng.integers(1, 5))
+        off = 10.0 ** rng.uniform(-3.0, 3.0, size=(m, m)) * (rng.uniform(size=(m, m)) >= 0.3)
+        ones = np.ones(m)
+        p = ModelParams(gen=Generator(off), r=float(10.0 ** rng.uniform(-3.0, 0.0)),
+                        theta=ones, sigma=ones, c=ones, h=ones,
+                        N=10.0 ** rng.uniform(-9.0, 9.0, size=m),
+                        R=10.0 ** rng.uniform(-9.0, 9.0, size=m))
+        elimination_solve(p)
+
+
+@pytest.mark.parametrize("f, hi, root", [(lambda t: t * t - 2.0, 2.0, math.sqrt(2.0)),
+                                         (lambda t: math.sqrt(t) - 0.3, 1.0, 0.09)],
                          ids=["convex", "concave"])
-def test_bracketed_root_converges_in_few_steps(f, root):
+def test_bracketed_root_converges_in_few_steps(f, hi, root):
     # a convex f pins the upper end and a concave f the lower one, so each
     # case needs its own Illinois halving
     calls = []
@@ -232,10 +302,28 @@ def test_bracketed_root_converges_in_few_steps(f, root):
         calls.append(t)
         return f(t)
 
-    assert abs(riccati._bracketed_root(counted, 0) - root) <= math.ulp(root)
+    assert abs(riccati._bracketed_root(counted, hi) - root) <= math.ulp(root)
     assert len(calls) <= 15  # bisection would take ~55
 
 
-def test_bracketed_root_reports_missing_sign_change():
-    with pytest.raises(riccati.BracketFailure, match="coordinate 3"):
-        riccati._bracketed_root(lambda t: -1.0, 2)
+def test_bracketed_root_returns_an_exact_zero():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return t - 0.5
+
+    assert riccati._bracketed_root(f, 1.0) == 0.5
+    assert len(calls) <= 3
+
+
+@pytest.mark.parametrize("f_hi", [0.0, -1e-16])
+def test_bracketed_root_returns_upper_end_without_sign_change(f_hi):
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return -1.0 if t < 1.0 else f_hi
+
+    assert riccati._bracketed_root(f, 1.0) == 1.0
+    assert calls == [0.0, 1.0]
