@@ -11,9 +11,10 @@ is used as the analytic route; a path-wise Monte Carlo estimator over exact
 jump segments provides the independent check.
 
 Every walk, here and in the Euler engine (module sde), is _block_walk: a
-block of paths advances a round of draws at a time, Python picks each next
-state and numpy sums the holding times, with the same draws and the same
-float operations as adding one holding time per jump.  Each path owns
+block of paths advances a round of draws at a time, numpy turns each
+uniform into a key, Python looks each next state up in a table indexed by
+state and key, and numpy sums the holding times, with the same draws, picks
+and float operations as adding one holding time per jump.  Each path owns
 its stream, so a path's jumps do not depend on the block it walks in.
 discounted_functional_mc splits a large run into contiguous path shares
 run in worker processes (module _pool) and reduces the per-path values in
@@ -35,11 +36,13 @@ from .model import Generator
 _BLOCK_JUMPS = 1 << 20  # most expected jumps on one path; sde sizes its blocks by it
 _WALK_JUMPS = 1 << 13   # expected jumps per walked block, most draws per path and round
 # fewest expected jumps worth a worker process: on a 2-core VM a worker took
-# 0.16-0.25 s to start and 2^21 jumps 0.2-0.7 s to walk (m = 2 to 8 regimes)
+# 0.24-0.35 s to start and 2^21 jumps 0.4-0.8 s to walk and integrate
+# (m = 2 to 8 regimes; 0.4-1.2 s with bisect picks)
 _SHARE_JUMPS = 1 << 21
-# a path's own cost in jumps: on a 2-core VM a path took 30-35 us for its
-# generator and draw calls, and a jump of the two-state benchmark chain 0.1 us
+# a path's own cost in jumps: on a 2-core VM a path took 21-34 us for its
+# generator and draw calls, and a jump 0.15-0.3 us to walk (m = 2 to 8)
 _PATH_JUMPS = 1 << 8
+_KEY_ENTRIES = 1 << 16  # most next-state table entries, m x |B| (see _key_table)
 
 __all__ = [
     "RegimePath",
@@ -70,16 +73,18 @@ class RegimePath:
 
 
 def _jump_tables(gen: Generator):
-    """Per-state exit rates and cumulative next-state distributions as plain lists.
+    """Per-state exit rates, cumulative next-state distributions and targets, plus keys.
 
-    An absorbing state lists itself as its one target; the walk stops it by
-    its zero rate, never by this entry.
+    rates, cums and targets are plain lists.  An absorbing state lists
+    itself as its one target; the walk stops it by its zero rate, never by
+    this entry.  keys is _key_table's next-state table, or None.
     """
-    q, m = gen.q, gen.m
-    rates = [float(-q[i, i]) for i in range(m)]
+    m = gen.m
+    q = gen.q.tolist()
+    rates = [-q[i][i] for i in range(m)]
     cums, targets = [], []
     for i in range(m):
-        entries = [(float(q[i, j]), j) for j in range(m) if j != i and q[i, j] > 0.0]
+        entries = [(w, j) for j, w in enumerate(q[i]) if j != i and w > 0.0]
         total = sum(w for w, _ in entries)
         acc = 0.0
         cu, tg = [], []
@@ -93,32 +98,71 @@ def _jump_tables(gen: Generator):
             cu, tg = [1.0], [i]
         cums.append(cu)
         targets.append(tg)
-    return rates, cums, targets
+    return rates, cums, targets, _key_table(cums, targets)
 
 
-def _block_walk(rates, cums, targets, i0, horizon, streams):
+def _key_table(cums, targets):
+    """Next states indexed by state and a uniform's key, or None.
+
+    B is the sorted union of every state's cumulative entries, and a
+    uniform u in [0, 1) has key k = #(B < u).  Each cumulative entry is in
+    B, so the first entry of state s that is >= u is also the first one
+    >= B[k]: next[s][k] = targets[s][bisect_left(cums[s], B[k])] is the
+    state the bisect pick would enter.  Keys come from a grid of G = 2^p
+    cells over [0, 1): cell[c] = #(B < c / G) for the cell holding u, then
+    at most per_cell steps of k += B[k] < u, per_cell being the most
+    entries of B below 1 in one cell.  u x G is exact, so its floor is u's
+    cell.  B ends with 1 > u, so no key runs past it.  Returns (G, cell, B,
+    per_cell, next), or None where m x |B| exceeds _KEY_ENTRIES: the table
+    grows as m^3 for a dense generator, and those chains bisect.
+    """
+    b = np.array(sorted(set().union(*cums)))
+    if len(cums) * b.size > _KEY_ENTRIES:
+        return None
+    nxt = [np.take(tg, np.searchsorted(cu, b)).tolist() for cu, tg in zip(cums, targets)]
+    grid = 1 << (b.size.bit_length() + 2)  # 4-8 cells per entry
+    cell = np.searchsorted(b, np.arange(grid) / grid)
+    per_cell = int(np.bincount((b[:-1] * grid).astype(np.intp), minlength=1).max())
+    return grid, cell, b, per_cell, nxt
+
+
+def _keys(keys, u):
+    """Each uniform's key #(B < u) (see _key_table), as a list of Python ints."""
+    grid, cell, b, per_cell, _ = keys
+    k = cell[(u * grid).astype(np.intp)]
+    for _ in range(per_cell):
+        k += b[k] < u
+    return k.tolist()
+
+
+def _block_walk(tables, i0, horizon, streams):
     """Jump-chain walk from 0-based state i0 to the horizon, one path per stream seed.
 
-    Returns flat (path, time, state) arrays, path after path and each path
-    in time order: its start (time 0, state i0), then one entry per jump
-    with the state entered.  Path k draws from default_rng(streams[k]), in
-    chunks of 64, 128, ..., 8192 exponentials each followed by as many
-    uniforms; draws left over at the horizon are discarded.
+    tables is _jump_tables' result.  Returns flat (path, time, state)
+    arrays, path after path and each path in time order: its start (time 0,
+    state i0), then one entry per jump with the state entered.  Path k
+    draws from default_rng(streams[k]), in chunks of 64, 128, ..., 8192
+    exponentials each followed by as many uniforms; draws left over at the
+    horizon are discarded.
 
     The live paths walk in rounds.  A round draws consecutive chunks until
-    it holds min(horizon x top rate, _WALK_JUMPS) draws per path, at least
-    one chunk: about every draw a path will use, so most paths end in their
-    first round.  Python only picks each next state, as the first cumulative
-    entry >= the uniform; since no state is left faster than the top rate,
-    a cumulative sum at that rate bounds the jump times from below, and
-    picking stops where it reaches the horizon.  Where every state has one
-    target there is nothing to pick: a table of each state's next states
-    (no larger than the block's draws) stands in.  numpy sums the holding
-    times as cumsum(E / rate of the state left) with the current time added
-    to the first term: the float operations, in order, of adding one
-    holding time at a time.  An absorbing state's zero rate makes every
-    later time infinite, which cuts its path there.
+    it holds min(horizon x mean exit rate over the states, _WALK_JUMPS)
+    draws per path, at least one chunk: about every draw a path will use,
+    so most paths end in their first round.  Each next state is the first
+    cumulative entry >= the uniform.  Since no state is left faster than
+    the top rate, a cumulative sum at that rate bounds the jump times from
+    below, and picking stops where it reaches the horizon.  numpy turns the
+    picked uniforms into keys, so Python only looks each next state up in
+    _key_table's table; a chain too large for that table bisects each
+    state's cumulative entries instead.  Where every state has one target
+    and the block holds at least m paths, a table of each state's next
+    states (no larger than the block's draws) stands in for the picks.
+    numpy sums the holding times as cumsum(E / rate of the state left) with
+    the current time added to the first term: the float operations, in
+    order, of adding one holding time at a time.  An absorbing state's zero
+    rate makes every later time infinite, which cuts its path there.
     """
+    rates, cums, targets, keys = tables
     rngs = [np.random.default_rng(key) for key in streams]
     n = len(rngs)
     m = len(rates)
@@ -132,10 +176,10 @@ def _block_walk(rates, cums, targets, i0, horizon, streams):
     if m <= n and all(len(tg) == 1 for tg in targets):
         orbit = np.array([tg[0] for tg in targets])[:, None]  # column k: k + 1 jumps on
     size = 64  # the next chunk's
-    want = min(horizon * top, _WALK_JUMPS)
+    want = min(horizon * sum(rates) / m, _WALK_JUMPS)
     while rows.size:
         chunks = []
-        while sum(chunks) < want:  # at least one chunk, as want > 0
+        while not chunks or sum(chunks) < want:
             chunks.append(size)
             size = min(2 * size, 8192)
         cols = sum(chunks)
@@ -155,13 +199,21 @@ def _block_walk(rates, cums, targets, i0, horizon, streams):
         else:
             np.divide(e, top, out=left)
             left[:, 0] += t[rows]
-            picks = (np.cumsum(left, axis=1, out=left) < horizon).sum(axis=1).tolist()
+            picks = (np.cumsum(left, axis=1, out=left) < horizon).sum(axis=1)
+            picked = np.arange(cols) < picks[:, None]
             nxt = []
-            for j, st in enumerate(s[rows].tolist()):
-                nxt += [st := targets[st][bisect_left(cums[st], x)]
-                        for x in u[j, :picks[j]].tolist()]
+            if keys is not None:
+                table, x = keys[-1], _keys(keys, u[picked])
+                a = 0
+                for st, p in zip(s[rows].tolist(), picks.tolist()):
+                    nxt += [st := table[st][k] for k in x[a:a + p]]
+                    a += p
+            else:
+                for j, st in enumerate(s[rows].tolist()):
+                    nxt += [st := targets[st][bisect_left(cums[st], x)]
+                            for x in u[j, :picks[j]].tolist()]
             entered = np.full((rows.size, cols), m)
-            entered[np.arange(cols) < np.array(picks)[:, None]] = nxt
+            entered[picked] = nxt
         left[:, 0] = rate[s[rows]]
         np.take(rate, entered[:, :-1], out=left[:, 1:])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -195,7 +247,8 @@ def _walks(gen: Generator, i0: int, horizon: float, streams):
         raise ValueError(f"i0 must be in 1..{gen.m}")
     if not (horizon > 0 and math.isfinite(horizon)):
         raise ValueError("horizon must be positive and finite")
-    rates, cums, targets = _jump_tables(gen)
+    tables = _jump_tables(gen)
+    rates = tables[0]
     if horizon * max(rates) > _BLOCK_JUMPS:
         raise ValueError(f"a path expects {horizon * max(rates):.3g} regime jumps, over the "
                          f"{_BLOCK_JUMPS} budget; shorten the horizon or slow the chain")
@@ -205,7 +258,7 @@ def _walks(gen: Generator, i0: int, horizon: float, streams):
     def blocks():
         first = 0
         while block := list(islice(streams, width)):
-            path, t, st = _block_walk(rates, cums, targets, i0 - 1, horizon, block)
+            path, t, st = _block_walk(tables, i0 - 1, horizon, block)
             yield path + first, t, st
             first += len(block)
 

@@ -254,10 +254,13 @@ def _bracketed_root(f, hi: float) -> float:
     bracket, and returns any trial point where f is exactly 0.  Otherwise
     the bracket shrinks by false position with the Illinois modification
     (Dowell and Jarratt, BIT 11, 1971): an end kept twice in a row has its f
-    value halved.  A trial point outside the open bracket is replaced by the
-    midpoint.  The search stops when the ends are adjacent floats, and
-    returns their midpoint.  Where bisection takes ~55 evaluations per
-    level, this takes 8-34 (median 11) at m = 2.
+    value halved.  A trial point that rounds onto or past an end puts the
+    root within rounding of that end, so the next float inside it is tried
+    instead; halving from there took ~20 more evaluations.  A NaN trial
+    point is replaced by the midpoint.  The search stops when the ends are
+    adjacent floats, and returns their midpoint.  Where bisection takes ~55
+    evaluations per level, this takes 7-14 (median 10) over 300 m = 2
+    draws of the benchmark's instance generator.
     """
     lo, f_lo = 0.0, f(0.0)
     f_hi = f(hi)
@@ -267,7 +270,8 @@ def _bracketed_root(f, hi: float) -> float:
     while hi - lo > math.ulp(hi):
         t = hi - f_hi * (hi - lo) / (f_hi - f_lo)
         if not lo < t < hi:
-            t = 0.5 * (lo + hi)
+            t = (math.nextafter(lo, hi) if t <= lo else math.nextafter(hi, lo) if t >= hi
+                 else 0.5 * (lo + hi))  # a NaN trial point bisects
             if not lo < t < hi:
                 break  # interval collapsed to machine resolution
         f_t = f(t)

@@ -250,7 +250,7 @@ def block_walk(gen, i0, horizon, streams):
 
 
 def oracle_walk(gen, i0, horizon, streams):
-    rates, cums, targets = chain._jump_tables(gen)
+    rates, cums, targets, _ = chain._jump_tables(gen)
     walks = [scalar_walk(rates, cums, targets, i0 - 1, horizon, np.random.default_rng(key))
              for key in streams]
     return [np.repeat(np.arange(len(walks)), [len(jt) for jt, _ in walks]),
@@ -305,6 +305,92 @@ def test_block_walk_width_changes_nothing(monkeypatch):
             blocks = list(chain._walks(gen, 2, 50.0, streams))
             assert len(blocks) == (40 if cap == 1 else 1)
             assert_walks_equal(block_walk(gen, 2, 50.0, streams), want)
+
+
+def scalar_pick(cu, tg, u):
+    """scalar_walk's next state: the first cumulative entry >= u."""
+    j = 0
+    while u > cu[j]:
+        j += 1
+    return tg[j]
+
+
+def assert_keys_pick_as_scalar_walk(gen):
+    # each cumulative entry exactly and its neighbours on both sides
+    _, cums, targets, keys = chain._jump_tables(gen)
+    bounds = np.unique(np.concatenate([np.array(cu) for cu in cums]))
+    u = np.concatenate((bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, 1.0), [0.0]))
+    u = u[u < 1.0]
+    got = chain._keys(keys, u)
+    assert got == [bisect.bisect_left(bounds.tolist(), x) for x in u.tolist()]
+    for cu, tg, row in zip(cums, targets, keys[-1]):
+        assert [row[k] for k in got] == [scalar_pick(cu, tg, x) for x in u.tolist()]
+
+
+# one state's cumulative entries bunched within 4e-9 of 1/2: one grid cell
+CLUSTERED = Generator([[0.0, 1.0, 1e-8, 1e-8, 1e-8, 1.0 - 3e-8],
+                       [1.0, 0.0, 1.0, 1.0, 1.0, 1.0],
+                       [0.5, 0.5, 0.0, 0.5, 0.5, 0.5],
+                       [2.0, 1.0, 1.0, 0.0, 1.0, 1.0],
+                       [1.0, 3.0, 1.0, 1.0, 0.0, 1.0],
+                       [1.0, 1.0, 1.0, 1.0, 1.0, 0.0]])
+# rates 1, 1, 2: cumulative entries 0.25 and 0.5 sit on grid cell edges
+DYADIC = Generator([[0.0, 1.0, 1.0, 2.0], [1.0, 0.0, 1.0, 2.0],
+                    [2.0, 1.0, 0.0, 1.0], [1.0, 2.0, 1.0, 0.0]])
+
+
+@pytest.mark.parametrize("gen", [ORACLE_CHAINS["two states"], ORACLE_CHAINS["eight states"],
+                                 ORACLE_CHAINS["absorbing"], CLUSTERED, DYADIC],
+                         ids=["two", "eight", "absorbing", "clustered", "dyadic"])
+def test_pick_keys_match_scalar_walk(gen):
+    assert_keys_pick_as_scalar_walk(gen)
+    streams = [[11, k] for k in range(20)]
+    for i0 in range(1, gen.m + 1):
+        assert_walks_equal(block_walk(gen, i0, 30.0, streams), oracle_walk(gen, i0, 30.0, streams))
+
+
+def test_pick_keys_cell_layout():
+    grid, cell, bounds, per_cell, _ = chain._jump_tables(CLUSTERED)[3]
+    assert grid & (grid - 1) == 0  # a power of two, so u x grid is exact
+    assert per_cell >= 4  # the bunched entries and 1/2 share a cell
+    assert np.array_equal(cell, np.searchsorted(bounds, np.arange(grid) / grid))
+    grid, _, bounds, _, _ = chain._jump_tables(DYADIC)[3]
+    assert {0.25, 0.5, 0.75} <= set(bounds.tolist())
+    assert all((b * grid).is_integer() for b in (0.25, 0.5, 0.75))
+
+
+def test_chain_over_the_key_budget_bisects():
+    gen = Generator(np.random.default_rng(60).uniform(0.5, 2.0, size=(60, 60)))
+    tables = chain._jump_tables(gen)
+    assert tables[3] is None  # 60 x 3541 entries would pass _KEY_ENTRIES
+    streams = [[13, k] for k in range(10)]
+    assert_walks_equal(block_walk(gen, 7, 5.0, streams), oracle_walk(gen, 7, 5.0, streams))
+
+
+def test_mean_rate_rounds_too_short_and_too_long():
+    # regime 1 leaves at rate 0.01, the others at 20, so a first round holds
+    # 960 draws (horizon x mean rate ~900): from regime 2 a path makes ~1200
+    # jumps, past that round, and from regime 1 it often makes none
+    q = np.full((4, 4), 10.0)
+    q[0] = [0.0, 0.005, 0.0025, 0.0025]
+    q[1:, 0] = 0.001
+    gen = Generator(q)
+    streams = [[17, k] for k in range(12)]
+    for i0 in (1, 2):
+        got = block_walk(gen, i0, 60.0, streams)
+        assert_walks_equal(got, oracle_walk(gen, i0, 60.0, streams))
+        jumps = np.bincount(got[0]) - 1
+        assert (jumps == 0).any() if i0 == 1 else (jumps > 960).sum() > 6
+
+
+def test_jump_tables_built_once_per_walks_call(monkeypatch):
+    calls = []
+    jump_tables = chain._jump_tables
+    monkeypatch.setattr(chain, "_jump_tables", lambda gen: calls.append(gen) or jump_tables(gen))
+    monkeypatch.setattr(chain, "_WALK_JUMPS", 1)  # one path per block
+    gen = ORACLE_CHAINS["eight states"]
+    assert len(list(chain._walks(gen, 1, 20.0, [[19, k] for k in range(10)]))) == 10
+    assert calls == [gen]
 
 
 def test_functional_mc_worker_counts_bitwise_equal(monkeypatch, started):

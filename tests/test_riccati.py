@@ -259,6 +259,17 @@ def test_elimination_outer_level_takes_few_evaluations(root_evaluations):
     assert sum(root_evaluations) <= 100
 
 
+def test_elimination_outer_level_does_not_crawl(root_evaluations):
+    # on the fourth draw false position lands on the root, where f rounds to
+    # -2.2e-16; the next trial point rounds onto that lower end, and halving
+    # from there took 31 evaluations where the other draws take 10-11
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        elimination_solve(workloads.random_params(rng, 2, 0.1, 3.0))
+    assert len(root_evaluations) == 6
+    assert max(root_evaluations) <= 15
+
+
 @pytest.mark.parametrize("scale", ["N x 1e9", "N x 1e-9", "R x 1e-9", "rate 1e8"])
 def test_elimination_scale_relative_at_extreme_scales(p_bench, scale):
     p = {"N x 1e9": p_bench.replace(N=p_bench.N * 1e9),
