@@ -242,22 +242,24 @@ def _walks(gen: Generator, i0: int, horizon: float, streams):
     twice as large raised a process's peak RSS by 2 MB for no speed).
     Raises ValueError, before any walk, unless i0 is in 1..m, the horizon is
     positive and finite, and horizon x largest exit rate <= _BLOCK_JUMPS.
+    The jump tables are built when the first block is walked, so a call
+    made only for these checks builds none.
     """
     if not 1 <= i0 <= gen.m:
         raise ValueError(f"i0 must be in 1..{gen.m}")
     if not (horizon > 0 and math.isfinite(horizon)):
         raise ValueError("horizon must be positive and finite")
-    tables = _jump_tables(gen)
-    rates = tables[0]
-    if horizon * max(rates) > _BLOCK_JUMPS:
-        raise ValueError(f"a path expects {horizon * max(rates):.3g} regime jumps, over the "
+    top = float(np.max(-np.diag(gen.q)))
+    if horizon * top > _BLOCK_JUMPS:
+        raise ValueError(f"a path expects {horizon * top:.3g} regime jumps, over the "
                          f"{_BLOCK_JUMPS} budget; shorten the horizon or slow the chain")
     streams = iter(streams)
-    width = max(1, int(_WALK_JUMPS // max(horizon * max(rates), 64.0)))
+    width = max(1, int(_WALK_JUMPS // max(horizon * top, 64.0)))
 
     def blocks():
-        first = 0
+        first, tables = 0, None
         while block := list(islice(streams, width)):
+            tables = tables or _jump_tables(gen)
             path, t, st = _block_walk(tables, i0 - 1, horizon, block)
             yield path + first, t, st
             first += len(block)

@@ -15,7 +15,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -31,13 +31,7 @@ from .policy import (
     value_function,
     value_report,
 )
-from .reference import (
-    SWEEPS,
-    benchmark_params,
-    expected_values,
-    sweep_params,
-    sweep_value_label,
-)
+from .reference import SWEEPS, benchmark_params, expected_values, sweep_params
 from .riccati import NonConvergence, solve
 from .sde import _KEEP_BUDGET, SimConfig, _adjoint_terms, mc_cost, simulate_controlled
 
@@ -48,18 +42,6 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record written once per invocation, alongside the outputs."""
-
-    command: str
-    config: str
-    seed: int
-    version: str
-    out_dir: str
-    duration_s: float
 
 
 def _g(v: float) -> str:
@@ -84,13 +66,6 @@ def _load(args) -> ModelParams:
     if args.config is None:
         return benchmark_params()
     return load_params(args.config)
-
-
-def _value_token(param: str, value) -> str:
-    # colon-separated vector components keep CSV cells quote-free
-    if param in ("r", "q"):
-        return format(float(value), "g")
-    return ":".join(format(float(v), "g") for v in np.atleast_1d(value))
 
 
 def _parse_sweep_values(param: str, text):
@@ -243,11 +218,16 @@ def _sweep_rows(p: ModelParams, param: str, values):
     rows = []
     for value in values:
         ps = sweep_params(p, param, value)
+        if param in ("r", "q"):
+            token = shown = format(float(value), "g")
+        else:  # colon-separated vector components keep CSV cells quote-free
+            token = ":".join(format(float(v), "g") for v in np.atleast_1d(value))
+            shown = f"({token.replace(':', ',')})"
         rows.append({
             "param": param,
             "value": value,
-            "token": _value_token(param, value),
-            "label": sweep_value_label(param, value),
+            "token": token,
+            "label": f"{param}={shown}",
             "params": ps,
             "sol": solve(ps),
         })
@@ -255,10 +235,10 @@ def _sweep_rows(p: ModelParams, param: str, values):
 
 
 def table_rows():
-    """Solve the four reference sweeps; one dict per row, 12 rows in all."""
+    """Solve the reference table's entries, in its order; one dict per entry."""
     p = benchmark_params()
-    return [row for param in ("r", "q", "theta", "sigma")
-            for row in _sweep_rows(p, param, SWEEPS[param])]
+    return [row for entry in expected_values()["table"]
+            for row in _sweep_rows(p, entry["param"], [entry["value"]])]
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +275,8 @@ def cmd_sweep(args, out_dir: Path) -> int:
                       title=f"value function, regime {i + 1}",
                       ylabel=f"v(x, {i + 1})")
     for row in rows:
-        sol = row["sol"]
-        cells = " ".join(f"phi({i + 1})={sol.phi[i]:.4f}" for i in range(p.m))
-        cells += " " + " ".join(f"psi({i + 1})={sol.psi[i]:.4f}"
-                                for i in range(p.m))
+        cells = " ".join(f"{name}({i + 1})={getattr(row['sol'], name)[i]:.4f}"
+                         for name in ("phi", "psi") for i in range(p.m))
         print(f"{row['label']}: {cells}")
     return EXIT_OK
 
@@ -411,7 +389,7 @@ def cmd_reproduce(args, out_dir: Path) -> int:
                   _regime_curves(value_report(sol, p, grid)),
                   title="value function, benchmark", ylabel="v(x, i)")
     reports = [value_report(row["sol"], row["params"], grid) for row in rows]
-    for param in ("r", "q", "theta", "sigma"):
+    for param in dict.fromkeys(row["param"] for row in rows):
         _write_curves(out_dir / f"value_sweep_{param}.csv",
                       out_dir / f"value_sweep_{param}.svg", grid,
                       [(f"{param}={row['token']} i={i + 1}",
@@ -437,39 +415,29 @@ def cmd_reproduce(args, out_dir: Path) -> int:
                       v0, mc_cfg.n_paths)
     mc_ok = abs(est.mean - v0) <= allowance
 
+    # (table row or None, cell name prefix, expected values, solved values, names)
     bench = expected["benchmark"]
-    cells = [(f"{name}({i + 1})", float(bench[name][i]), float(ours[i]))
-             for group in ((("phi", sol.phi), ("psi", sol.psi)),
-                           (("slope", coeffs.slope), ("intercept", coeffs.intercept)))
-             for i in range(p.m) for name, ours in group]
-    computed = {(row["param"], row["token"]): row for row in rows}
-    matched_rows = 0
-    for entry in expected["table"]:
-        key = (entry["param"], _value_token(entry["param"], entry["value"]))
-        row = computed.get(key)
-        if row is None:
-            print(f"error: expected table row {key} was not computed", file=sys.stderr)
-            return EXIT_CHECK
-        row_cells = [(f"{row['label']} {name}({i + 1})", float(entry[name][i]),
-                      float(getattr(row["sol"], name)[i]))
-                     for i in range(p.m) for name in ("phi", "psi")]
-        cells += row_cells
-        matched_rows += all(abs(exp - act) <= tol for _, exp, act in row_cells)
-
-    n_ok = 0
-    bad_cells = []
-    diff_rows = []
-    for name, exp, act in cells:
-        err = abs(exp - act)
-        ok = err <= tol
-        n_ok += int(ok)
-        if not ok:
-            bad_cells.append(name)
-        diff_rows.append([name, format(exp, "g"), _g(act),
-                          format(err, ".3e"), "true" if ok else "false"])
+    blocks = [(None, "", bench, sol, ("phi", "psi")),
+              (None, "", bench, coeffs, ("slope", "intercept"))]
+    blocks += [(k, f"{row['label']} ", entry, row["sol"], ("phi", "psi"))
+               for k, (entry, row) in enumerate(zip(expected["table"], rows, strict=True))]
+    diff_rows, bad_cells, bad_rows = [], [], set()
+    for k, prefix, exp_set, ours, names in blocks:
+        for i in range(p.m):
+            for name in names:
+                cell = f"{prefix}{name}({i + 1})"
+                exp, act = float(exp_set[name][i]), float(getattr(ours, name)[i])
+                err = abs(exp - act)
+                ok = err <= tol
+                if not ok:
+                    bad_cells.append(cell)
+                    bad_rows.add(k)
+                diff_rows.append([cell, format(exp, "g"), _g(act),
+                                  format(err, ".3e"), "true" if ok else "false"])
     _write_csv(out_dir / "diff.csv",
                ["cell", "expected", "actual", "abs_error", "within_tol"],
                diff_rows)
+    matched_rows = len(rows) - len(bad_rows - {None})
 
     pairs = " / ".join(f"({coeffs.slope[i]:.4f}, {coeffs.intercept[i]:.4f})"
                        for i in range(p.m))
@@ -480,12 +448,10 @@ def cmd_reproduce(args, out_dir: Path) -> int:
     print(f"mc verification: |{est.mean:.4f} - {v0:.4f}| "
           f"{'<=' if mc_ok else '>'} {allowance:.4f} "
           f"({'ok' if mc_ok else 'outside allowance'}, informational)")
-    print(f"diff: {n_ok}/{len(cells)} cells within {tol:g}")
-    if bad_cells:
-        for name in bad_cells:
-            print(f"mismatch: {name}", file=sys.stderr)
-        return EXIT_CHECK
-    return EXIT_OK
+    print(f"diff: {len(diff_rows) - len(bad_cells)}/{len(diff_rows)} cells within {tol:g}")
+    for name in bad_cells:
+        print(f"mismatch: {name}", file=sys.stderr)
+    return EXIT_CHECK if bad_cells else EXIT_OK
 
 
 _COMMANDS = {
@@ -521,12 +487,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", parents=[common],
                         help="solve across one swept parameter")
-    sp.add_argument("--param", required=True,
-                    choices=("r", "q", "theta", "sigma"))
+    sp.add_argument("--param", required=True, choices=tuple(SWEEPS))
     sp.add_argument("--values",
                     help="comma-separated values; vector components "
                          "colon-separated (e.g. 4:1.5,5:2.5); default: "
-                         "the built-in reference values")
+                         "the reference table's values")
     sp.add_argument("--grid", metavar="LO:HI:N",
                     help="inventory grid for the value curves (default -10:10:401)")
 
@@ -571,17 +536,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_CONFIG
     finally:
-        manifest = RunManifest(
-            command=args.command,
-            config=args.config or "builtin",
-            seed=args.seed,
-            version=__version__,
-            out_dir=str(out_dir),
-            duration_s=round(time.perf_counter() - start, 3),
-        )
-        with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(asdict(manifest), fh, indent=2)
-            fh.write("\n")
+        _write_text(out_dir / "manifest.json", json.dumps({
+            "command": args.command,
+            "config": args.config or "builtin",
+            "seed": args.seed,
+            "version": __version__,
+            "out_dir": str(out_dir),
+            "duration_s": round(time.perf_counter() - start, 3),
+        }, indent=2) + "\n")
     return code
 
 

@@ -1,9 +1,11 @@
 """Built-in benchmark economy and the reference values it must reproduce.
 
 The two-regime benchmark and the four one-parameter sensitivity sweeps are
-the regression surface of the package: the embedded JSON table holds the
-reference solution values at 3-decimal precision together with the matching
-comparison tolerance.
+the regression surface of the package.  The embedded JSON table is their
+only list: each entry names a swept quantity and its value with the
+reference solution values at 3-decimal precision, next to the matching
+comparison tolerance.  SWEEPS groups the table's values by quantity, in
+table order, with vector values as tuples.
 """
 
 import json
@@ -18,18 +20,7 @@ __all__ = [
     "benchmark_params",
     "expected_values",
     "sweep_params",
-    "sweep_value_label",
 ]
-
-# Default value lists per swept quantity (q is the symmetric switching rate).
-# The benchmark setting is the middle entry for r and theta and the first for
-# q; the benchmark's sigma = (0.6, 0.8) is in no sweep.
-SWEEPS = {
-    "r": (0.03, 0.05, 0.08),
-    "q": (1.0, 2.0, 5.0),
-    "theta": ((4.0, 1.5), (4.0, 2.5), (5.0, 2.5)),
-    "sigma": ((0.1, 0.3), (0.4, 0.6), (0.8, 1.2)),
-}
 
 
 def benchmark_params() -> ModelParams:
@@ -53,12 +44,13 @@ def expected_values() -> dict:
     return json.loads(text)
 
 
-def sweep_value_label(param: str, value) -> str:
-    """Short row label, e.g. 'r=0.03' or 'theta=(4,1.5)'."""
-    if param in ("r", "q"):
-        return f"{param}={format(float(value), 'g')}"
-    parts = ",".join(format(float(v), "g") for v in np.atleast_1d(value))
-    return f"{param}=({parts})"
+# The table's values per swept quantity (q is the symmetric switching rate).
+# The benchmark setting is the middle entry for r and theta and the first for
+# q; the benchmark's sigma = (0.6, 0.8) is in no sweep.
+_TABLE = expected_values()["table"]
+SWEEPS = {param: tuple(tuple(e["value"]) if isinstance(e["value"], list) else e["value"]
+                       for e in _TABLE if e["param"] == param)
+          for param in dict.fromkeys(e["param"] for e in _TABLE)}
 
 
 def sweep_params(p: ModelParams, param: str, value) -> ModelParams:

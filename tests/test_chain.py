@@ -393,6 +393,18 @@ def test_jump_tables_built_once_per_walks_call(monkeypatch):
     assert calls == [gen]
 
 
+def test_walk_less_call_builds_no_jump_tables(monkeypatch):
+    calls = []
+    jump_tables = chain._jump_tables
+    monkeypatch.setattr(chain, "_jump_tables", lambda gen: calls.append(gen) or jump_tables(gen))
+    gen = ORACLE_CHAINS["eight states"]
+    chain._walks(gen, 1, 20.0, ())  # the checks alone, as sde and the functional MC call it
+    assert list(chain._walks(gen, 1, 20.0, ())) == []
+    with pytest.raises(ValueError, match="budget"):
+        chain._walks(gen, 1, 1e12, ())
+    assert calls == []
+
+
 def test_functional_mc_worker_counts_bitwise_equal(monkeypatch, started):
     # a 3-state chain with 25 paths: shares of 25, 12 + 13 and 8 + 8 + 9 paths,
     # the parent's share in blocks of two paths, each worker's in one block

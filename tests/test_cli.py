@@ -137,6 +137,17 @@ def test_sweep_explicit_values(tmp_path):
     assert [row["value"] for row in rows] == ["1", "3"]
 
 
+def test_sweep_vector_tokens_and_labels(tmp_path):
+    assert run(["sweep", "--param", "theta", "--values", "4:1.5,5:2.5",
+                "--out", str(tmp_path), "--label", "theta"]) == 0
+    d = tmp_path / "sweep" / "theta"
+    assert [row["value"] for row in read_csv(d / "table.csv")] == ["4:1.5", "5:2.5"]
+    header = (d / "value_curves_regime_1.csv").read_text().splitlines()[0]
+    assert header == "x,theta=4:1.5,theta=5:2.5"
+    svg = (d / "value_regime_1.svg").read_text()
+    assert ">theta=(4,1.5)<" in svg and ">theta=(5,2.5)<" in svg
+
+
 def test_sweep_q_needs_symmetric_two_state(tmp_path, capsys):
     cfg = write_config(tmp_path, Q=[-1.0, 1.0, 2.0, -2.0])
     assert run(["sweep", "--param", "q", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -418,6 +429,8 @@ def test_reproduce_passes(tmp_path, capsys):
     diff = read_csv(d / "diff.csv")
     assert len(diff) == 56
     assert all(row["within_tol"] == "true" for row in diff)
+    cells = {row["cell"] for row in diff}
+    assert {"r=0.03 phi(1)", "theta=(4,1.5) phi(1)", "sigma=(0.1,0.3) psi(2)"} <= cells
     assert (d / "value_benchmark.svg").exists()
     assert (d / "mc_verification.csv").exists()
     for param in ("r", "q", "theta", "sigma"):
@@ -436,6 +449,20 @@ def test_reproduce_flags_tampered_expectations(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "mismatch:" in captured.err
     assert "diff: 55/56 cells within 0.001" in captured.out
+
+
+def test_reproduce_solves_the_table_values(tmp_path, capsys, monkeypatch):
+    # a changed value is solved at that value and judged against its row
+    changed = expected_values()
+    changed["table"][0]["value"] = 0.04
+    monkeypatch.setattr(cli, "expected_values", lambda: changed)
+    assert run(["reproduce", "--out", str(tmp_path), "--label", "moved"]) == 1
+    captured = capsys.readouterr()
+    assert "mismatch: r=0.04 phi(1)" in captured.err
+    assert "table rows matched: 11/12" in captured.out
+    diff = read_csv(tmp_path / "reproduce" / "moved" / "diff.csv")
+    assert len(diff) == 56
+    assert diff[8]["cell"] == "r=0.04 phi(1)" and diff[8]["within_tol"] == "false"
 
 
 def test_reproduce_rejects_negative_seed(tmp_path, capsys):
