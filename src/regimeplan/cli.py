@@ -147,7 +147,7 @@ def _write_solution_set(out_dir: Path, sol, coeffs) -> None:
                zip(regimes, _column(sol.phi), _column(sol.psi),
                    _column(sol.residual_phi, "{:.3e}"), _column(sol.residual_psi, "{:.3e}")))
     _write_csv(out_dir / "certificate.csv", ["regime", "dominance_margin"],
-               zip(regimes, _column(sol.certificate.margins())))
+               zip(regimes, _column(sol.certificate.margins)))
     _write_csv(out_dir / "feedback.csv", ["regime", "slope", "intercept"],
                zip(regimes, _column(coeffs.slope), _column(coeffs.intercept)))
 

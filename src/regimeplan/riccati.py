@@ -12,7 +12,7 @@ and the slope vector psi solves the linear system B_phi psi = b with
 
 The quadratic system has a unique nonnegative solution; two independent
 solvers are provided (damped Newton and the coordinate-elimination method)
-together with a diagonal-dominance certificate of that uniqueness.
+together with the dominance margins (phi_a + phi_b)/R + r that certify it.
 """
 
 from __future__ import annotations
@@ -56,24 +56,18 @@ class NonConvergence(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class DominanceCertificate:
-    """Strict diagonal dominance record for the matrix A_phi.
+    """Row dominance margins (phi_a + phi_b)/R + r of a uniqueness certificate.
 
     A positive minimum margin certifies that the quadratic system cannot have
     two distinct nonnegative solutions.
     """
 
-    matrix_A_phi: np.ndarray
-
-    def margins(self) -> np.ndarray:
-        """Row dominance margins: diagonal minus the off-diagonal absolute sums."""
-        a = self.matrix_A_phi
-        diag = np.diag(a)
-        return diag - (np.sum(np.abs(a), axis=1) - np.abs(diag))
+    margins: np.ndarray
 
     @property
     def min_dominance_margin(self) -> float:
         """Smallest row margin; a positive value certifies uniqueness."""
-        return float(np.min(self.margins()))
+        return float(np.min(self.margins))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,10 +108,10 @@ def are_residual(phi, p: ModelParams) -> np.ndarray:
 def solve_are(p: ModelParams) -> np.ndarray:
     """Unique nonnegative solution of the quadratic system by damped Newton.
 
-    Starts at phi = 0.  The Jacobian diag(2 phi(i)/R(i) + r) - Q is strictly
-    diagonally dominant for phi >= 0, hence invertible at every iterate; each
-    step is halved until the residual norm decreases (at most 60 halvings) and
-    iterates are clamped at 0 componentwise.
+    Starts at phi = 0.  The system is convex and its Jacobian
+    diag(2 phi(i)/R(i) + r) - Q is a nonsingular M-matrix for phi >= 0, so a
+    full step from phi >= 0 lands at or above the solution; steps are halved
+    until the residual norm decreases (at most 60 halvings), staying >= 0.
 
     Raises :class:`NonConvergence` if DEFAULT_MAX_ITER iterations do not
     reach DEFAULT_TOL.
@@ -140,7 +134,7 @@ def _newton(p: ModelParams):
         step = np.linalg.solve(jac, -res)
         scale = 1.0
         for _ in range(60):
-            cand = np.maximum(phi + scale * step, 0.0)
+            cand = phi + scale * step
             cres = are_residual(cand, p)
             cnorm = float(np.max(np.abs(cres)))
             if cnorm < norm:
@@ -293,19 +287,18 @@ def _bracketed_root(f, hi: float) -> float:
 def uniqueness_certificate(phi_a, phi_b, p: ModelParams) -> DominanceCertificate:
     """Certificate that two nonnegative solutions phi_a, phi_b must coincide.
 
-    Builds A_phi with diagonal (phi_a(i)+phi_b(i))/R(i) + r + sum_{j != i} q_ij
-    and off-diagonal -q_ij; its dominance margin is (phi_a+phi_b)/R + r >= r > 0
-    rowwise, so A_phi is nonsingular and the difference phi_a - phi_b, which it
-    annihilates, vanishes.
+    A_phi = diag((phi_a + phi_b)/R + r) - Q annihilates phi_a - phi_b.  Q has
+    nonnegative off-diagonal rates and zero row sums, so row i of A_phi is
+    diagonally dominant by exactly (phi_a(i) + phi_b(i))/R(i) + r >= r > 0, the
+    margin returned; A_phi is nonsingular and the difference vanishes.
     """
     phi_a = np.asarray(phi_a, dtype=float)
     phi_b = np.asarray(phi_b, dtype=float)
     if np.any(phi_a < 0) or np.any(phi_b < 0):
         raise ValueError("certificate inputs must be nonnegative")
-    q = p.gen.q
-    a = np.diag((phi_a + phi_b) / p.R + p.r) - q
-    a.setflags(write=False)
-    return DominanceCertificate(matrix_A_phi=a)
+    margins = (phi_a + phi_b) / p.R + p.r
+    margins.setflags(write=False)
+    return DominanceCertificate(margins=margins)
 
 
 def solve(p: ModelParams) -> RiccatiSolution:

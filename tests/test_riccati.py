@@ -146,8 +146,10 @@ def test_certificate_margin(p_bench, sol_bench):
     expected = 2.0 * PHI_BENCH[0] / 0.5 + 0.05  # row 1 attains the min
     assert cert.min_dominance_margin == pytest.approx(expected, abs=1e-6)
     assert cert.min_dominance_margin == pytest.approx(1.683326, abs=1e-5)
+    # oracle: the dense diagonal of A_phi minus its off-diagonal absolute row sums
     a = np.diag(2.0 * sol_bench.phi / p_bench.R + p_bench.r) - p_bench.gen.q
-    assert np.allclose(cert.matrix_A_phi, a)
+    dense = np.diag(a) - (np.sum(np.abs(a), axis=1) - np.abs(np.diag(a)))
+    assert np.allclose(cert.margins, dense, rtol=1e-14, atol=0.0)
 
 
 def test_certificate_standalone(p_bench, sol_bench):
@@ -155,6 +157,65 @@ def test_certificate_standalone(p_bench, sol_bench):
     assert cert.min_dominance_margin > p_bench.r
     with pytest.raises(ValueError, match="nonnegative"):
         uniqueness_certificate(-sol_bench.phi, sol_bench.phi, p_bench)
+
+
+@pytest.mark.parametrize("rate", [1e12, 1e17])
+def test_certificate_closed_form_at_fast_switching(p_bench, rate):
+    # the dense margin cancels the exit rate: off in the 5th digit at 1e12, 0 at 1e17
+    p = p_bench.replace(gen=Generator.two_state_symmetric(rate))
+    phi = np.array([0.4, 0.36])
+    cert = uniqueness_certificate(phi, phi, p)
+    assert np.array_equal(cert.margins, 2.0 * phi / p.R + p.r)
+    assert cert.min_dominance_margin > p.r
+
+
+def clamped_newton(p):
+    """Newton with every trial point clamped at 0, as _newton once was; None on failure."""
+    phi = np.zeros(p.m)
+    res = are_residual(phi, p)
+    norm = float(np.max(np.abs(res)))
+    for it in range(1, riccati.DEFAULT_MAX_ITER + 1):
+        if norm <= riccati.DEFAULT_TOL:
+            return phi, it - 1
+        step = np.linalg.solve(np.diag(2.0 * phi / p.R + p.r) - p.gen.q, -res)
+        scale = 1.0
+        for _ in range(60):
+            cand = np.maximum(phi + scale * step, 0.0)
+            cres = are_residual(cand, p)
+            cnorm = float(np.max(np.abs(cres)))
+            if cnorm < norm:
+                break
+            scale *= 0.5
+        else:
+            if np.array_equal(cand, phi):
+                return None  # every later iteration repeats this one bitwise
+        phi, res, norm = cand, cres, cnorm
+    return (phi, riccati.DEFAULT_MAX_ITER) if norm <= riccati.DEFAULT_TOL else None
+
+
+def test_newton_clamp_never_acts():
+    # convexity puts every full Newton point at or above the solution, so each
+    # damped trial point is already >= 0; m = 1-4, N, R and off-diagonal rates
+    # log-uniform over 1e-6..1e6 with 30% of rates zero, r log-uniform over 1e-3..1
+    rng = np.random.default_rng(22)
+    converged = 0
+    for _ in range(300):
+        m = int(rng.integers(1, 5))
+        off = 10.0 ** rng.uniform(-6.0, 6.0, size=(m, m)) * (rng.uniform(size=(m, m)) >= 0.3)
+        ones = np.ones(m)
+        p = ModelParams(gen=Generator(off), r=float(10.0 ** rng.uniform(-3.0, 0.0)),
+                        theta=ones, sigma=ones, c=ones, h=ones,
+                        N=10.0 ** rng.uniform(-6.0, 6.0, size=m),
+                        R=10.0 ** rng.uniform(-6.0, 6.0, size=m))
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = clamped_newton(p)
+        if expected is None:
+            continue
+        phi, iterations = riccati._newton(p)
+        assert np.array_equal(phi, expected[0])
+        assert iterations == expected[1]
+        converged += 1
+    assert converged >= 150
 
 
 def test_determinism(p_bench):
