@@ -213,15 +213,22 @@ def benchmark_solution():
     return p, sol, policy_coefficients(sol, p)
 
 
+def _token(value) -> str:
+    """The "g" form of value if it reads back as the same float, else its repr."""
+    x = float(value)
+    short = format(x, "g")
+    return short if float(short) == x else repr(x)
+
+
 def _sweep_rows(p: ModelParams, param: str, values):
     """Solve p with each value of one swept quantity; one dict per value."""
     rows = []
     for value in values:
         ps = sweep_params(p, param, value)
         if param in ("r", "q"):
-            token = shown = format(float(value), "g")
+            token = shown = _token(value)
         else:  # colon-separated vector components keep CSV cells quote-free
-            token = ":".join(format(float(v), "g") for v in np.atleast_1d(value))
+            token = ":".join(_token(v) for v in np.atleast_1d(value))
             shown = f"({token.replace(':', ',')})"
         rows.append({
             "param": param,

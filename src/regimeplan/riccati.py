@@ -114,7 +114,9 @@ def solve_are(p: ModelParams) -> np.ndarray:
     until the residual norm decreases (at most 60 halvings), staying >= 0.
 
     Raises :class:`NonConvergence` if DEFAULT_MAX_ITER iterations do not
-    reach DEFAULT_TOL.
+    reach DEFAULT_TOL, if 60 halvings find no decrease, or if the Jacobian
+    is singular in floating point (rates so fast that r + exit rate rounds
+    to the exit rate).
     """
     phi, _ = _newton(p)
     return phi
@@ -127,11 +129,19 @@ def _newton(p: ModelParams):
     phi = np.zeros(p.m)
     res = are_residual(phi, p)
     norm = float(np.max(np.abs(res)))
-    for it in range(1, max_iter + 1):
-        if norm <= tol:
-            return phi, it - 1
+    it = 0
+    while norm > tol:
+        if it == max_iter:
+            raise NonConvergence(
+                f"Newton did not reach tol={tol:g} in {max_iter} iterations "
+                f"(last residual {norm:.3e})", norm)
+        it += 1
         jac = np.diag(2.0 * phi / p.R + p.r) - q
-        step = np.linalg.solve(jac, -res)
+        try:
+            step = np.linalg.solve(jac, -res)
+        except np.linalg.LinAlgError:
+            raise NonConvergence(f"Newton's Jacobian is singular at iteration {it} "
+                                 f"(last residual {norm:.3e})", norm) from None
         scale = 1.0
         for _ in range(60):
             cand = phi + scale * step
@@ -140,12 +150,11 @@ def _newton(p: ModelParams):
             if cnorm < norm:
                 break
             scale *= 0.5
+        else:
+            raise NonConvergence(f"Newton's line search stalled at iteration {it} "
+                                 f"(last residual {norm:.3e})", norm)
         phi, res, norm = cand, cres, cnorm
-    if norm <= tol:
-        return phi, max_iter
-    raise NonConvergence(
-        f"Newton did not reach tol={tol:g} in {max_iter} iterations "
-        f"(last residual {norm:.3e})", norm)
+    return phi, it
 
 
 def solve_psi(phi, p: ModelParams) -> np.ndarray:

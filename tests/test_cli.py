@@ -148,6 +148,18 @@ def test_sweep_vector_tokens_and_labels(tmp_path):
     assert ">theta=(4,1.5)<" in svg and ">theta=(5,2.5)<" in svg
 
 
+def test_sweep_values_keep_their_digits(tmp_path, capsys):
+    # the six-digit "g" form would write both values as 0.0312346
+    assert run(["sweep", "--param", "r", "--values", "0.03123456,0.03123457",
+                "--out", str(tmp_path), "--label", "close"]) == 0
+    d = tmp_path / "sweep" / "close"
+    assert [row["value"] for row in read_csv(d / "table.csv")] == ["0.03123456", "0.03123457"]
+    header = (d / "value_curves_regime_1.csv").read_text().splitlines()[0]
+    assert header == "x,r=0.03123456,r=0.03123457"
+    labels = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    assert labels == ["r=0.03123456", "r=0.03123457"]
+
+
 def test_sweep_q_needs_symmetric_two_state(tmp_path, capsys):
     cfg = write_config(tmp_path, Q=[-1.0, 1.0, 2.0, -2.0])
     assert run(["sweep", "--param", "q", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -360,6 +372,18 @@ def test_simulate_rejects_overflowing_cost(tmp_path, capsys):
                 "--out", str(tmp_path), "--label", "big"]) == 2
     assert "discounted cost is not finite" in capsys.readouterr().err
     assert [f.name for f in (tmp_path / "simulate" / "big").iterdir()] == ["manifest.json"]
+
+
+def test_singular_newton_jacobian_exit_3(tmp_path, capsys):
+    # at rate 1e15, r + exit rate rounds to the exit rate: the Jacobian at 0 is singular
+    cfg = write_config(tmp_path, Q=[-1e15, 1e15, 1e15, -1e15])
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path), "--label", "s"]) == 3
+    assert "Jacobian is singular at iteration 1" in capsys.readouterr().err
+    assert [f.name for f in (tmp_path / "solve" / "s").iterdir()] == ["manifest.json"]
+    assert run(["check", "--config", cfg, "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "PASS parameters" in out
+    assert "FAIL riccati solve: Newton's Jacobian is singular" in out
 
 
 def test_simulate_zero_sigma_config(tmp_path):

@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -161,7 +162,8 @@ def test_certificate_standalone(p_bench, sol_bench):
 
 @pytest.mark.parametrize("rate", [1e12, 1e17])
 def test_certificate_closed_form_at_fast_switching(p_bench, rate):
-    # the dense margin cancels the exit rate: off in the 5th digit at 1e12, 0 at 1e17
+    # a dense diagonal minus off-diagonal row sums cancels r against the exit rate:
+    # off in the 5th digit at 1e12, 0 at 1e17
     p = p_bench.replace(gen=Generator.two_state_symmetric(rate))
     phi = np.array([0.4, 0.36])
     cert = uniqueness_certificate(phi, phi, p)
@@ -170,7 +172,7 @@ def test_certificate_closed_form_at_fast_switching(p_bench, rate):
 
 
 def clamped_newton(p):
-    """Newton with every trial point clamped at 0, as _newton once was; None on failure."""
+    """_newton with every trial point clamped at 0; None where it does not converge."""
     phi = np.zeros(p.m)
     res = are_residual(phi, p)
     norm = float(np.max(np.abs(res)))
@@ -230,6 +232,23 @@ def test_nonconvergence_raises(p_bench, monkeypatch):
     with pytest.raises(NonConvergence) as err:
         solve(p_bench)
     assert err.value.residual > 0.0
+
+
+def test_singular_jacobian_raises_nonconvergence(p_bench):
+    # r + 1e15 rounds to 1e15, so the Jacobian at phi = 0 is singular in floats
+    p = p_bench.replace(gen=Generator.two_state_symmetric(1e15))
+    with pytest.raises(NonConvergence, match="Jacobian is singular at iteration 1") as err:
+        solve(p)
+    assert err.value.residual == pytest.approx(0.4)  # max N, the residual at phi = 0
+
+
+def test_stalled_line_search_ends_the_solve(p_bench):
+    # the absolute 1e-12 is out of reach at N x 1e9: once no halving lowers the
+    # residual, the solve stops instead of running all 200 iterations
+    with pytest.raises(NonConvergence, match="line search stalled") as err:
+        solve_are(p_bench.replace(N=p_bench.N * 1e9))
+    assert int(re.search(r"at iteration (\d+)", str(err.value)).group(1)) <= 10
+    assert err.value.residual > riccati.DEFAULT_TOL
 
 
 def test_solver_hypothesis_checks(p_bench):
