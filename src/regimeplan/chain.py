@@ -15,10 +15,14 @@ block of paths advances a round of draws at a time, numpy turns each
 uniform into a key, Python looks each next state up in a table indexed by
 state and key, and numpy sums the holding times, with the same draws, picks
 and float operations as adding one holding time per jump.  Each path owns
-its stream, so a path's jumps do not depend on the block it walks in.
-discounted_functional_mc splits a large run into contiguous path shares
-run in worker processes (module _pool) and reduces the per-path values in
-global path order, so its result does not depend on the worker count.
+its stream, so a path's jumps do not depend on the block it walks in.  The
+tables are built once per generator and process and kept in a small cache
+keyed by the generator's rates.  discounted_functional_mc splits a large
+run into contiguous path shares run in worker processes (module _pool),
+the caller's share larger by what a worker walks while it starts, and
+reduces the per-path values in global path order, so its result does not
+depend on the worker count.  regimes_on_grid samples a path at grid times
+by merging its jump times into the grid.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ _SHARE_JUMPS = 1 << 21
 # generator and draw calls, and a jump 0.15-0.3 us to walk (m = 2 to 8)
 _PATH_JUMPS = 1 << 8
 _KEY_ENTRIES = 1 << 16  # most next-state table entries, m x |B| (see _key_table)
+_TABLES_KEPT = 8  # most generators whose jump tables _walks keeps (see _cached_tables)
+_TABLES: dict = {}  # gen.q.tobytes() -> _jump_tables(gen), oldest first
 
 __all__ = [
     "RegimePath",
@@ -126,6 +132,22 @@ def _key_table(cums, targets):
     return grid, cell, b, per_cell, nxt
 
 
+def _cached_tables(gen: Generator):
+    """_jump_tables(gen), built once per generator and process.
+
+    The cache is keyed by the bytes of gen.q, which also fix m, so an equal
+    generator shares the tables and a different one never reads them.  It
+    holds at most _TABLES_KEPT generators and drops the oldest first.
+    """
+    key = gen.q.tobytes()
+    tables = _TABLES.get(key)
+    if tables is None:
+        if len(_TABLES) >= _TABLES_KEPT:
+            _TABLES.pop(next(iter(_TABLES)))
+        tables = _TABLES[key] = _jump_tables(gen)
+    return tables
+
+
 def _keys(keys, u):
     """Each uniform's key #(B < u) (see _key_table), as a list of Python ints."""
     grid, cell, b, per_cell, _ = keys
@@ -154,9 +176,11 @@ def _block_walk(tables, i0, horizon, streams):
     below, and picking stops where it reaches the horizon.  numpy turns the
     picked uniforms into keys, so Python only looks each next state up in
     _key_table's table; a chain too large for that table bisects each
-    state's cumulative entries instead.  Where every state has one target
-    and the block holds at least m paths, a table of each state's next
-    states (no larger than the block's draws) stands in for the picks.
+    state's cumulative entries instead.  Up to 256 states the picked states
+    leave Python as bytes, which numpy reads faster than a list of ints.
+    Where every state has one target and the block holds at least m paths,
+    a table of each state's next states (no larger than the block's draws)
+    stands in for the picks.
     numpy sums the holding times as cumsum(E / rate of the state left) with
     the current time added to the first term: the float operations, in
     order, of adding one holding time at a time.  An absorbing state's zero
@@ -213,7 +237,7 @@ def _block_walk(tables, i0, horizon, streams):
                     nxt += [st := targets[st][bisect_left(cums[st], x)]
                             for x in u[j, :picks[j]].tolist()]
             entered = np.full((rows.size, cols), m)
-            entered[picked] = nxt
+            entered[picked] = np.frombuffer(bytes(nxt), np.uint8) if m <= 256 else nxt
         left[:, 0] = rate[s[rows]]
         np.take(rate, entered[:, :-1], out=left[:, 1:])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -242,8 +266,9 @@ def _walks(gen: Generator, i0: int, horizon: float, streams):
     twice as large raised a process's peak RSS by 2 MB for no speed).
     Raises ValueError, before any walk, unless i0 is in 1..m, the horizon is
     positive and finite, and horizon x largest exit rate <= _BLOCK_JUMPS.
-    The jump tables are built when the first block is walked, so a call
-    made only for these checks builds none.
+    The jump tables come from _cached_tables when the first block is
+    walked, so a call made only for these checks builds none, and a later
+    call on an equal generator reuses them.
     """
     if not 1 <= i0 <= gen.m:
         raise ValueError(f"i0 must be in 1..{gen.m}")
@@ -259,7 +284,7 @@ def _walks(gen: Generator, i0: int, horizon: float, streams):
     def blocks():
         first, tables = 0, None
         while block := list(islice(streams, width)):
-            tables = tables or _jump_tables(gen)
+            tables = tables or _cached_tables(gen)
             path, t, st = _block_walk(tables, i0 - 1, horizon, block)
             yield path + first, t, st
             first += len(block)
@@ -267,9 +292,10 @@ def _walks(gen: Generator, i0: int, horizon: float, streams):
     return blocks()
 
 
-def simulate_chain(gen: Generator, i0: int, horizon: float, seed: int) -> RegimePath:
+def simulate_chain(gen: Generator, i0: int, horizon: float, seed) -> RegimePath:
     """Simulate one statistically exact chain path.
 
+    seed is an int or a sequence of ints, as numpy's default_rng takes it.
     Deterministic given (gen, i0, horizon, seed), i0 1-based; ValueError as _walks.
     """
     ((_, jt, st),) = _walks(gen, i0, horizon, [seed])
@@ -279,9 +305,22 @@ def simulate_chain(gen: Generator, i0: int, horizon: float, seed: int) -> Regime
 
 
 def regimes_on_grid(jump_times, states, grid) -> np.ndarray:
-    """Sample a piecewise-constant regime path at grid times (0-based states in, same out)."""
-    idx = np.searchsorted(jump_times, grid, side="right") - 1
-    return np.asarray(states)[idx]
+    """Sample a piecewise-constant regime path at the times of a 1-D grid.
+
+    states[j] holds on [jump_times[j], jump_times[j + 1]), jump_times
+    increasing; the result has states' values and dtype, one per grid time.
+    Raises ValueError for a grid that decreases anywhere, starts before
+    jump_times[0] or holds a NaN.  The jump times are merged into the grid:
+    one searchsorted of the jumps, then each state repeated over the grid
+    times up to the next jump, O(J log G + G) for J jumps and G grid times.
+    """
+    jt, grid = np.asarray(jump_times), np.asarray(grid)
+    if not np.all(grid[1:] >= grid[:-1]):
+        raise ValueError("grid times must be nondecreasing")
+    if grid.size and not grid[0] >= jt[0]:
+        raise ValueError("grid starts before the path's first time")
+    first = np.searchsorted(grid, jt)  # each state's first grid time
+    return np.repeat(np.asarray(states), np.diff(first, append=grid.size))
 
 
 def _mean_se(vals: np.ndarray):
@@ -310,8 +349,13 @@ def discounted_resolvent(gen: Generator, r: float, g) -> np.ndarray:
     """Solve (r I - Q) w = g for the discounted regime functional w.
 
     With the Generator's nonnegative rates, r I - Q is strictly diagonally
-    dominant for r > 0, hence invertible; the
-    dense LU factorization with partial pivoting is numerically safe here.
+    dominant for r > 0, hence invertible, and the dense LU factorization
+    with partial pivoting is backward stable: its residual is small
+    normwise.  The entries of w lose relative accuracy in proportion to
+    lambda / r on a generator scaled by lambda: for a 3-regime chain at
+    r = 0.05 and lambda = 1e8, w was off by 8.7e-8 relative to a 60-digit
+    solve.  ROADMAP.md item 8 (cancellation-free M-matrix solves) is the
+    open fix.
     Raises ValueError unless r is positive and finite and g finite.
     """
     g = _functional_args(gen, r, g)
@@ -333,17 +377,20 @@ def discounted_functional_mc(gen: Generator, r: float, g, i0: int,
     A run expecting at least 2 x _SHARE_JUMPS jumps, counting _PATH_JUMPS
     more for each path, splits its paths into
     contiguous shares, one per usable CPU (see _pool._workers): this process
-    walks the first and a worker process each other one.  The per-path
-    values land in global path order before the one reduction, so the result
-    is bitwise equal for any worker count.
+    walks the first and a worker process each other one.  The first share
+    also takes the paths a worker walks while it starts, about
+    _SHARE_JUMPS / 2 expected jumps, and every share keeps at least one
+    path.  The per-path values land in global path order before the one
+    reduction, so the result is bitwise equal for any worker count and split.
     """
     g = _functional_args(gen, r, g)
     if n_paths < 2:
         raise ValueError("discounted_functional_mc needs n_paths >= 2")
     _walks(gen, i0, horizon, ())  # its checks, before any walk or worker
-    jumps = n_paths * (horizon * float(np.max(-np.diag(gen.q))) + _PATH_JUMPS)
-    shares = min(_pool._workers(jumps, _SHARE_JUMPS), n_paths)
-    cuts = [n_paths * s // shares for s in range(shares + 1)]
+    per_path = horizon * float(np.max(-np.diag(gen.q))) + _PATH_JUMPS
+    shares = min(_pool._workers(n_paths * per_path, _SHARE_JUMPS), n_paths)
+    head = min(int(_SHARE_JUMPS / 2 / per_path), n_paths - shares)  # a worker's start-up
+    cuts = [0] + [head + (n_paths - head) * s // shares for s in range(1, shares + 1)]
     args = [(gen, r, g, i0, horizon, seed, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     return _mean_se(np.concatenate(list(_pool.run(__name__, "_functional_share", args))))
 

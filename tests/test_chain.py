@@ -96,6 +96,36 @@ def test_regimes_on_grid_piecewise():
     assert np.array_equal(regimes_on_grid(jt, st, grid), [0, 0, 1, 1, 0, 0])
 
 
+def searched_regimes(jump_times, states, grid):
+    """The per-grid-time binary search the merged sampling replaced: the oracle."""
+    return np.asarray(states)[np.searchsorted(jump_times, grid, side="right") - 1]
+
+
+def test_merged_grid_sampling_matches_search():
+    gen = ORACLE_CHAINS["eight states"]
+    for k in range(6):
+        path = simulate_chain(gen, 1 + k, 30.0, seed=[23, k])
+        jt = path.jump_times
+        # grid times on jumps, repeated, between them and past the last one
+        grids = [np.arange(3001) * 0.01, np.sort(np.concatenate((jt, jt[::3], [0.0, 29.99]))),
+                 np.array([jt[-1], 1e9]), np.zeros(3), np.empty(0)]
+        for grid in grids:
+            got = regimes_on_grid(jt, path.states, grid)
+            want = searched_regimes(jt, path.states, grid)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_regimes_on_grid_refuses_unordered_or_early_grids():
+    with pytest.raises(ValueError, match="before"):
+        regimes_on_grid([0.0, 1.0], [1, 2], [-0.5])
+    with pytest.raises(ValueError, match="nondecreasing"):
+        regimes_on_grid([0.0, 1.0], [1, 2], [0.0, 2.0, 0.5])
+    for grid in ([math.nan], [0.0, math.nan, 2.0]):
+        with pytest.raises(ValueError):
+            regimes_on_grid([0.0, 1.0], [1, 2], grid)
+    assert regimes_on_grid([0.0, 1.0], [1, 2], [0.0, 0.0, 1.0, 1.0]).tolist() == [1, 1, 2, 2]
+
+
 def test_absorbing_state():
     gen = Generator([[0.0, 0.0], [1.0, -1.0]])
     path = simulate_chain(gen, 2, 100.0, seed=5)
@@ -367,6 +397,25 @@ def test_chain_over_the_key_budget_bisects():
     assert_walks_equal(block_walk(gen, 7, 5.0, streams), oracle_walk(gen, 7, 5.0, streams))
 
 
+def ring(m):
+    """An m-regime ring: each regime leaves at rate 1 to each of its two neighbours."""
+    q = np.zeros((m, m))
+    for i in range(m):
+        q[i, (i - 1) % m] = q[i, (i + 1) % m] = 1.0
+    return Generator(q)
+
+
+@pytest.mark.parametrize("m", [255, 256, 257, 300])
+def test_byte_and_list_picks_match_scalar_walk(m):
+    # up to 256 regimes the picks leave Python as bytes, above as a list;
+    # the key table (m x 2 entries) serves both
+    gen = ring(m)
+    assert chain._jump_tables(gen)[3] is not None
+    streams = [[29, k] for k in range(12)]
+    for i0 in (1, m // 2, m):
+        assert_walks_equal(block_walk(gen, i0, 40.0, streams), oracle_walk(gen, i0, 40.0, streams))
+
+
 def test_mean_rate_rounds_too_short_and_too_long():
     # regime 1 leaves at rate 0.01, the others at 20, so a first round holds
     # 960 draws (horizon x mean rate ~900): from regime 2 a path makes ~1200
@@ -383,14 +432,29 @@ def test_mean_rate_rounds_too_short_and_too_long():
         assert (jumps == 0).any() if i0 == 1 else (jumps > 960).sum() > 6
 
 
-def test_jump_tables_built_once_per_walks_call(monkeypatch):
+def test_jump_tables_built_once_per_generator(monkeypatch):
     calls = []
     jump_tables = chain._jump_tables
     monkeypatch.setattr(chain, "_jump_tables", lambda gen: calls.append(gen) or jump_tables(gen))
+    monkeypatch.setattr(chain, "_TABLES", {})
     monkeypatch.setattr(chain, "_WALK_JUMPS", 1)  # one path per block
     gen = ORACLE_CHAINS["eight states"]
-    assert len(list(chain._walks(gen, 1, 20.0, [[19, k] for k in range(10)]))) == 10
+    streams = [[19, k] for k in range(10)]
+    want = block_walk(gen, 1, 20.0, streams)
+    assert len(list(chain._walks(gen, 1, 20.0, streams))) == 10
+    assert_walks_equal(block_walk(Generator(gen.q), 1, 20.0, streams), want)  # an equal one
     assert calls == [gen]
+    other = Generator(gen.q * 2.0)
+    list(chain._walks(other, 1, 20.0, streams[:1]))
+    assert calls == [gen, other]
+
+
+def test_jump_table_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(chain, "_TABLES", {})
+    gens = [Generator.two_state_symmetric(1.0 + k) for k in range(chain._TABLES_KEPT + 3)]
+    for gen in gens:
+        assert chain._cached_tables(gen) is chain._cached_tables(gen)
+    assert list(chain._TABLES) == [gen.q.tobytes() for gen in gens[-chain._TABLES_KEPT:]]
 
 
 def test_walk_less_call_builds_no_jump_tables(monkeypatch):
@@ -405,17 +469,46 @@ def test_walk_less_call_builds_no_jump_tables(monkeypatch):
     assert calls == []
 
 
+def recorded_shares(monkeypatch):
+    """The (lo, hi) path ranges of each _pool.run call the chain makes."""
+    calls = []
+    run = _pool.run
+
+    def recording(module, name, shares):
+        calls.append([args[-2:] for args in shares])
+        return run(module, name, shares)
+
+    monkeypatch.setattr(_pool, "run", recording)
+    return calls
+
+
 def test_functional_mc_worker_counts_bitwise_equal(monkeypatch, started):
-    # a 3-state chain with 25 paths: shares of 25, 12 + 13 and 8 + 8 + 9 paths,
-    # the parent's share in blocks of two paths, each worker's in one block
+    # a 3-state chain (top rate 2) with 25 paths at horizon 60: a path
+    # expects 120 + _PATH_JUMPS = 376 jumps, so with _SHARE_JUMPS = 8 x 376
+    # the parent's share takes 4 more paths, what a worker walks while it
+    # starts; the parent walks in blocks of two paths, each worker in one
     gen = Generator([[-1.5, 1.0, 0.5], [0.3, -0.8, 0.5], [1.2, 0.8, -2.0]])
     monkeypatch.setattr(chain, "_WALK_JUMPS", 300)
+    monkeypatch.setattr(chain, "_SHARE_JUMPS", 8 * 376)
+    shares = recorded_shares(monkeypatch)
     runs = []
     for k in (1, 2, 3):
         monkeypatch.setattr(_pool, "_workers", lambda work, least, k=k: k)
         runs.append(discounted_functional_mc(gen, 0.1, [1.0, 0.0, 2.0], 2, 60.0, 25, seed=5))
     assert runs[0] == runs[1] == runs[2]
+    assert shares == [[(0, 25)], [(0, 14), (14, 25)], [(0, 11), (11, 18), (18, 25)]]
     assert len(started) == 1 + 2 and all_reaped(started)
+
+
+def test_functional_mc_every_share_keeps_a_path(monkeypatch, started):
+    # two paths, two shares: the start-up head leaves each share one path
+    gen = Generator.two_state_symmetric(1.0)
+    shares = recorded_shares(monkeypatch)
+    one = discounted_functional_mc(gen, 0.1, [1.0, 2.0], 1, 10.0, 2, seed=3)
+    monkeypatch.setattr(_pool, "_workers", lambda work, least: 2)
+    assert discounted_functional_mc(gen, 0.1, [1.0, 2.0], 1, 10.0, 2, seed=3) == one
+    assert shares == [[(0, 2)], [(0, 1), (1, 2)]]
+    assert len(started) == 1 and all_reaped(started)
 
 
 def test_functional_mc_small_runs_stay_in_process(started):
