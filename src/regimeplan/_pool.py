@@ -2,78 +2,126 @@
 
 run(module, name, shares) calls the function module.name once per share
 and yields the results in share order: the first share runs in the calling
-process, each other one in a fresh interpreter started with -c, never a
-fork of the caller.  A worker imports only the named module, so a script
-needs no `if __name__ == "__main__"` guard.  subprocess and pickle are
-imported only when a worker starts, so importing the package starts no
-process machinery.
+process, each other one in a worker.  A worker is a fresh interpreter
+started with -c, never a fork of the caller, and imports only the named
+module, so a script needs no `if __name__ == "__main__"` guard.  It serves
+one share after another from its stdin until EOF, so the pool keeps up to
+cpus - 1 idle workers between runs and a run takes them (idle() counts
+them) before it starts new ones: a warm worker costs a pickle round trip,
+a new one its start-up.  Each worker serves one run at a time.  A worker
+whose result was not read, because the caller raised, was interrupted or
+closed the generator early, is killed and reaped, never kept, so no run
+reads another's result; one that died while idle is replaced.  Workers
+belong to the process that started them: a forked child neither writes to
+nor ends its parent's, and starts its own.  close() ends the idle workers:
+EOF on stdin ends each one's loop, and it is reaped.  An atexit hook calls
+it, so no worker outlives its caller.  subprocess, pickle and atexit are
+imported, and the hook registered, only when the first worker starts, so
+importing the package starts no process machinery.
 """
 
 import importlib
 import os
 
+_IDLE: dict = {}  # pid -> the idle workers that process started
 
-def _workers(work: float, least: float) -> int:
-    """Processes for a run of `work` units: one per usable CPU, each given at least `least`."""
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, int(work // least)))
+        return os.cpu_count() or 1
 
 
-# A worker reads the parent's sys.path, the function's module and name and
-# one share's arguments from stdin, and writes the share's result, or the
-# exception it raised (its traceback goes to stderr), to stdout.  It runs
-# under -c, so it never imports the caller's __main__, and ignores ^C: the
-# parent handles the interrupt and ends its workers.
+def idle() -> int:
+    """Idle workers a run of this process can take without starting one."""
+    return len(_IDLE.get(os.getpid(), ()))
+
+
+def _workers(work: float, cold: float, warm: float) -> int:
+    """Processes for a run of `work` units, at most one per usable CPU.
+
+    Each process is given at least `warm` units where idle workers can take
+    every share but the caller's, else at least `cold`, which pays for a
+    new worker's start-up.
+    """
+    cpus = _cpus()
+    return max(1, min(cpus, int(work // cold)), min(cpus, idle() + 1, int(work // warm)))
+
+
+# A worker reads the parent's sys.path once, then one (module, name, args)
+# request at a time from stdin until EOF, and writes each request's result,
+# or the exception it raised (its traceback goes to stderr), to stdout.  It
+# runs under -c, so it never imports the caller's __main__, and ignores ^C:
+# the parent handles the interrupt and ends its workers.  The first line
+# names the process for tools such as pgrep -f.
 _WORKER = """\
-import importlib, io, pickle, signal, sys, traceback
+# regimeplan._pool worker
+import importlib, pickle, signal, sys, traceback
 signal.signal(signal.SIGINT, signal.SIG_IGN)
-inp = io.BytesIO(sys.stdin.buffer.read())
-out, sys.stdout = sys.stdout.buffer, sys.stderr
+inp, out, sys.stdout = sys.stdin.buffer, sys.stdout.buffer, sys.stderr
 sys.path[:] = pickle.load(inp)
-module, name = pickle.load(inp)
-try:
-    res = getattr(importlib.import_module(module), name)(*pickle.load(inp))
-except Exception as exc:
-    traceback.print_exc()
-    res = exc
-pickle.dump(res, out, pickle.HIGHEST_PROTOCOL)
+while True:
+    try:
+        module, name, args = pickle.load(inp)
+    except EOFError:
+        break
+    try:
+        res = getattr(importlib.import_module(module), name)(*args)
+    except Exception as exc:
+        traceback.print_exc()
+        res = exc
+    pickle.dump(res, out, pickle.HIGHEST_PROTOCOL)
+    out.flush()
 """
 
 
-def _start(module: str, name: str, args):
-    """A worker process running module.name(*args); the caller must end it."""
+def _send(proc, obj) -> None:
     import pickle
+
+    pickle.dump(obj, proc.stdin, pickle.HIGHEST_PROTOCOL)
+    proc.stdin.flush()
+
+
+def _start():
+    """A new worker, given this process's sys.path; close() ends it."""
+    import atexit
     import subprocess
     import sys
 
+    atexit.unregister(close)  # registered once, however many workers start
+    atexit.register(close)
     proc = subprocess.Popen([sys.executable, "-c", _WORKER],
                             stdin=subprocess.PIPE, stdout=subprocess.PIPE)
     try:
-        path = [os.path.dirname(os.path.dirname(__file__))] + sys.path
-        proc.stdin.write(pickle.dumps(path) + pickle.dumps((module, name))
-                         + pickle.dumps(args, pickle.HIGHEST_PROTOCOL))
-        proc.stdin.close()
+        _send(proc, [os.path.dirname(os.path.dirname(__file__))] + sys.path)
     except BaseException:
         _end(proc)
         raise
     return proc
 
 
-def _collect(proc):
-    """The result a worker wrote; its exception is raised here."""
+def _take(idle_procs: list):
+    """An idle worker that is still alive, else a new one."""
+    while True:
+        try:
+            proc = idle_procs.pop()  # one step, so two threads never take one worker
+        except IndexError:
+            return _start()
+        if proc.poll() is None:
+            return proc
+        _end(proc)  # it died while idle
+
+
+def _read(proc):
+    """The result, or the exception, a worker wrote for its request."""
     import pickle
 
     try:
-        res = pickle.load(proc.stdout)
+        return pickle.load(proc.stdout)
     except (EOFError, pickle.UnpicklingError):  # it died before writing all of it
         raise RuntimeError(f"engine worker exited with status {proc.wait()}") from None
-    proc.wait()
-    if isinstance(res, BaseException):
-        raise res
-    return res
 
 
 def _end(proc) -> None:
@@ -85,22 +133,43 @@ def _end(proc) -> None:
     proc.stdout.close()
 
 
+def close() -> None:
+    """End this process's idle workers and reap them; the next run starts new ones."""
+    procs = _IDLE.pop(os.getpid(), [])
+    for proc in procs:
+        proc.stdin.close()  # EOF: the worker leaves its loop and exits
+    for proc in procs:
+        proc.wait()
+        proc.stdout.close()
+
+
 def run(module: str, name: str, shares):
     """Yield module.name(*args) for each args in shares, in order.
 
     The function is looked up when called, so the first share runs whatever
     module.name is in this process and the workers run the module's own.
-    Every worker starts before the first share runs.  On any exception, ^C
-    included, and when the caller closes the generator early, every worker
-    is killed and reaped.
+    Every worker has its request before the first share runs.  A worker's
+    exception is raised here once its result is read.  On any exception,
+    ^C included, and when the caller closes the generator early, every
+    worker whose result was not read is killed and reaped; the others go
+    back to the pool, up to cpus - 1 idle workers, and the rest are ended.
     """
-    procs = []
+    idle_procs = _IDLE.setdefault(os.getpid(), [])
+    procs, read = [], 0
     try:
         for args in shares[1:]:
-            procs.append(_start(module, name, args))
+            procs.append(_take(idle_procs))
+            _send(procs[-1], (module, name, args))
         yield getattr(importlib.import_module(module), name)(*shares[0])
         for proc in procs:
-            yield _collect(proc)
+            res = _read(proc)
+            read += 1
+            if isinstance(res, BaseException):
+                raise res
+            yield res
     finally:
-        for proc in procs:
-            _end(proc)
+        for k, proc in enumerate(procs):
+            if k < read and len(idle_procs) < _cpus() - 1:
+                idle_procs.append(proc)
+            else:
+                _end(proc)

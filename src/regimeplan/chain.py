@@ -19,9 +19,10 @@ its stream, so a path's jumps do not depend on the block it walks in.  The
 tables are built once per generator and process and kept in a small cache
 keyed by the generator's rates.  discounted_functional_mc splits a large
 run into contiguous path shares run in worker processes (module _pool),
-the caller's share larger by what a worker walks while it starts, and
-reduces the per-path values in global path order, so its result does not
-depend on the worker count.  regimes_on_grid samples a path at grid times
+which stay warm between runs: the caller's share is larger by what a
+worker walks while it starts only when one has to start.  It reduces the
+per-path values in global path order, so its result does not depend on
+the worker count.  regimes_on_grid samples a path at grid times
 by merging its jump times into the grid.
 """
 
@@ -39,13 +40,20 @@ from .model import Generator
 
 _BLOCK_JUMPS = 1 << 20  # most expected jumps on one path; sde sizes its blocks by it
 _WALK_JUMPS = 1 << 13   # expected jumps per walked block, most draws per path and round
-# fewest expected jumps worth a worker process: on a 2-core VM a worker took
-# 0.24-0.35 s to start and 2^21 jumps 0.4-0.8 s to walk and integrate
-# (m = 2 to 8 regimes; 0.4-1.2 s with bisect picks)
+# fewest expected jumps a share needs to pay for a new worker: on a 2-core VM
+# a worker took 0.24-0.35 s to start and 2^21 jumps 0.4-0.8 s to walk and
+# integrate (m = 2 to 8 regimes; 0.4-1.2 s with bisect picks)
 _SHARE_JUMPS = 1 << 21
+# fewest expected jumps a share needs to pay for an idle worker's round trip:
+# on a 2-core VM two warm shares beat one from 3.5e4-1.4e5 jumps, _PATH_JUMPS
+# a path counted (m = 8, T = 3: 3.0 against 4.5 ms at 3.5e4; m = 2, T = 10:
+# 9.0 against 16.2 ms at 1.4e5, and 3.2 against 2.5 ms lost at 3.4e4)
+_WARM_JUMPS = 1 << 16
 # a path's own cost in jumps: on a 2-core VM a path took 21-34 us for its
 # generator and draw calls, and a jump 0.15-0.3 us to walk (m = 2 to 8)
 _PATH_JUMPS = 1 << 8
+_KEEP_BUDGET = 1 << 30  # bytes a run may retain, here and in sde
+_VALUE_BYTES = 16  # bytes per path of per-path results: a share's and the gathered copy
 _KEY_ENTRIES = 1 << 16  # most next-state table entries, m x |B| (see _key_table)
 _TABLES_KEPT = 8  # most generators whose jump tables _walks keeps (see _cached_tables)
 _TABLES: dict = {}  # gen.q.tobytes() -> _jump_tables(gen), oldest first
@@ -372,24 +380,32 @@ def discounted_functional_mc(gen: Generator, r: float, g, i0: int,
     Path k draws from the stream derived from (seed, k).  Returns
     (mean, std_error) with the sample standard deviation using ddof=1, so
     n_paths must be at least 2.  Raises ValueError, before any walk, unless
-    r is positive and finite and g finite, and as _walks does.
+    r is positive and finite and g finite, for per-path values
+    (_VALUE_BYTES a path) over _KEEP_BUDGET bytes, and as _walks does.
 
     A run expecting at least 2 x _SHARE_JUMPS jumps, counting _PATH_JUMPS
-    more for each path, splits its paths into
-    contiguous shares, one per usable CPU (see _pool._workers): this process
-    walks the first and a worker process each other one.  The first share
-    also takes the paths a worker walks while it starts, about
-    _SHARE_JUMPS / 2 expected jumps, and every share keeps at least one
-    path.  The per-path values land in global path order before the one
-    reduction, so the result is bitwise equal for any worker count and split.
+    more for each path, or 2 x _WARM_JUMPS where idle workers take every
+    share but the caller's, splits its paths into contiguous shares, one
+    per usable CPU (see _pool._workers): this process walks the first and a
+    worker process each other one.  When a worker has to start, the first
+    share also takes the paths it walks meanwhile, about _SHARE_JUMPS / 2
+    expected jumps; every share keeps at least one path.  The per-path
+    values land in global path order before the one reduction, so the
+    result is bitwise equal for any worker count and split.
     """
     g = _functional_args(gen, r, g)
     if n_paths < 2:
         raise ValueError("discounted_functional_mc needs n_paths >= 2")
     _walks(gen, i0, horizon, ())  # its checks, before any walk or worker
+    held = n_paths * _VALUE_BYTES
+    if held > _KEEP_BUDGET:
+        raise ValueError(f"the run would hold {held / 2**30:.3g} GiB of per-path values, over "
+                         f"the {_KEEP_BUDGET / 2**30:g} GiB budget; use fewer paths")
     per_path = horizon * float(np.max(-np.diag(gen.q))) + _PATH_JUMPS
-    shares = min(_pool._workers(n_paths * per_path, _SHARE_JUMPS), n_paths)
-    head = min(int(_SHARE_JUMPS / 2 / per_path), n_paths - shares)  # a worker's start-up
+    shares = min(_pool._workers(n_paths * per_path, _SHARE_JUMPS, _WARM_JUMPS), n_paths)
+    head = 0  # what a worker walks while it starts, if one has to start
+    if shares - 1 > _pool.idle():
+        head = min(int(_SHARE_JUMPS / 2 / per_path), n_paths - shares)
     cuts = [0] + [head + (n_paths - head) * s // shares for s in range(1, shares + 1)]
     args = [(gen, r, g, i0, horizon, seed, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     return _mean_se(np.concatenate(list(_pool.run(__name__, "_functional_share", args))))

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from ._svg import line_plot
+from .chain import _KEEP_BUDGET
 from .model import ModelParams, load_params, validate_params
 from .policy import (
     default_grid,
@@ -33,7 +34,7 @@ from .policy import (
 )
 from .reference import SWEEPS, benchmark_params, expected_values, sweep_params
 from .riccati import NonConvergence, solve
-from .sde import _KEEP_BUDGET, SimConfig, _adjoint_terms, mc_cost, simulate_controlled
+from .sde import SimConfig, _adjoint_terms, mc_cost, simulate_controlled
 
 DEFAULT_SEED = 12345
 _MAX_PATH_FILES = 8

@@ -43,8 +43,8 @@ events, so it narrows below _BLOCK paths where horizon x (largest exit
 rate) would bring more than chain._BLOCK_JUMPS expected jumps, and the
 chain walk refuses a path that alone expects more; past one block, memory
 grows by one float per path.  The engine keeps per-path reductions and, at
-the grid nodes a caller lists and within _KEEP_BUDGET bytes, every path's
-state, regime and running cost: asymptotic_decay lists its checkpoints, and
+the grid nodes a caller lists and within chain._KEEP_BUDGET bytes, every
+path's state, regime and running cost: asymptotic_decay lists its checkpoints, and
 simulate_controlled lists every node and derives u through the law, so kept
 paths take the same step and the same quadrature as the estimates.  Every per-path operation is
 elementwise and runs in grid order, and all reductions run over arrays in
@@ -53,15 +53,17 @@ whatever the block and chunk sizes.
 
 Because paths are independent, an affine run splits its paths into
 contiguous shares, one per CPU the process may use (os.sched_getaffinity,
-else os.cpu_count), but never more shares than blocks and none below
-_SHARE_WORK path-steps, so small runs pay no worker start-up.  The caller
-runs the first share and a worker process each other one (module _pool,
-which the chain functional shares); results land in global path order, so
-estimates and kept paths are bitwise equal for any worker count.  Workers
-are fresh interpreters started with -c, never a fork of the caller, and
-they import only this package, so a script needs no
-`if __name__ == "__main__"` guard.  A callable policy runs in process,
-since it may not pickle and is called per node anyway.
+else os.cpu_count).  A share needs _WARM_WORK path-steps where idle workers
+take every share but the caller's, else _SHARE_WORK, so a small run starts
+no worker; shares are not capped at the block count, so a 1024-path run
+splits into two 512-path shares.  The caller runs the first share and a
+worker process each other one (module _pool, which the chain functional
+shares); results land in global path order, so estimates and kept paths
+are bitwise equal for any worker count.  Workers are fresh interpreters
+started with -c, never a fork of the caller, and they import only this
+package, so a script needs no `if __name__ == "__main__"` guard.  They
+stay warm between runs, and an exit hook reaps them.  A callable policy
+runs in process, since it may not pickle and is called per node anyway.
 """
 
 import math
@@ -88,9 +90,16 @@ __all__ = [
 
 _BLOCK = 2048  # most paths per vectorized block
 _CHUNK = 512   # grid nodes per time chunk; with _BLOCK bounds transient memory
-_KEEP_BUDGET = 1 << 30  # bytes a recording may retain
 _KEPT_PER_NODE = 32     # bytes per path and node: x, regime, cost and a derived u
-_SHARE_WORK = 1 << 23   # fewest path-steps worth a worker process (~0.2 s to start)
+# fewest path-steps a share needs to pay for a new worker: on a 2-core VM a
+# worker took 0.24-0.35 s to start, mostly numpy's import
+_SHARE_WORK = 1 << 23
+# fewest path-steps a share needs to pay for an idle worker's round trip
+# (0.2-0.3 ms).  Every share pays Python time per node, so on a 2-core VM two
+# warm shares beat one from about 1.3e5 path-steps at 10^3 steps a path
+# (512 x 10^3: 22 against 33 ms), but only from about 1.3e6 at 10^4 steps
+# (512 x 10^4: 166 against 227 ms; 32 x 10^4 lost, 93 against 80 ms)
+_WARM_WORK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -269,12 +278,13 @@ def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
     cost are written to row j of three time-major matrices; the running cost
     is the trapezoid over [0, t_node], so 0 at node 0 and each path's final
     cost at node n_steps.  An affine run worth more than one worker (see
-    _pool._workers) splits its paths into contiguous shares of at least one block
-    each: the parent runs the first, a worker process each other one, and
-    the results land in global path order.  Raises ValueError, before any
-    walk or worker, for a record over _KEEP_BUDGET bytes, a start regime
-    outside 1..m or a path the chain walk's budget refuses, and after all
-    shares for a non-finite cost.
+    _pool._workers) splits its paths into contiguous shares of at least one
+    path each: the parent runs the first, a worker process each other one,
+    and the results land in global path order.  Raises ValueError, before
+    any walk or worker, for a record and per-path costs (chain._VALUE_BYTES
+    a path) over chain._KEEP_BUDGET bytes, a start regime outside 1..m or a
+    path the chain walk's budget refuses, and after all shares for a
+    non-finite cost.
     """
     if not p.r > 0:
         raise ValueError("r not positive")
@@ -288,14 +298,14 @@ def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
         one, zero = np.ones(p.m), np.zeros(p.m)
         tables = np.array([one, zero, p.sigma, p.c, 0.5 * p.N, zero,
                            p.theta, p.h, p.R])
-    kept = len(record) * n_paths * _KEPT_PER_NODE
-    if kept > _KEEP_BUDGET:
-        raise ValueError(f"simulation would retain {kept / 2**30:.3g} GiB of paths, over "
-                         f"the {_KEEP_BUDGET / 2**30:g} GiB budget; use fewer paths or nodes")
+    kept = n_paths * (len(record) * _KEPT_PER_NODE + chain._VALUE_BYTES)
+    if kept > chain._KEEP_BUDGET:
+        raise ValueError(f"simulation would retain {kept / 2**30:.3g} GiB of paths, over the "
+                         f"{chain._KEEP_BUDGET / 2**30:g} GiB budget; use fewer paths or nodes")
     chain._walks(p.gen, cfg.i0, n * cfg.dt, ())  # its checks, before any walk or worker
     jumps = n * cfg.dt * float(np.max(-np.diag(p.gen.q)))
     width = min(_BLOCK, n_paths, max(1, int(chain._BLOCK_JUMPS / max(jumps, 1.0))))
-    shares = (min(_pool._workers(n_paths * n, _SHARE_WORK), -(-n_paths // width))
+    shares = (min(_pool._workers(n_paths * n, _SHARE_WORK, _WARM_WORK), n_paths)
               if affine else 1)
     cuts = [n_paths * s // shares for s in range(shares + 1)]
     args = [(p, tables, policy, cfg, lo, hi, width, _CHUNK, record)
@@ -431,7 +441,7 @@ def simulate_controlled(p: ModelParams, sol: RiccatiSolution,
     are read-only columns of four (node x path) matrices.
 
     Retains every grid value of every path, so _run refuses a request over
-    _KEEP_BUDGET bytes; for large-sample estimates use mc_cost, which streams
+    chain._KEEP_BUDGET bytes; for large-sample estimates use mc_cost, which streams
     paths and keeps only reductions.  Raises ValueError as _run does.
     """
     law = policy_coefficients(sol, p)

@@ -6,7 +6,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from regimeplan import Generator, ModelParams, benchmark_params, solve
+from regimeplan import Generator, ModelParams, _pool, benchmark_params, solve
 
 
 @pytest.fixture(scope="session")
@@ -48,7 +48,12 @@ def make_params():
 
 @pytest.fixture
 def started(monkeypatch):
-    """The worker processes the engines start during a test."""
+    """The worker processes the engines start during a test.
+
+    The pool is ended before the test, so every run starts cold and the
+    count does not depend on test order, and again after it.
+    """
+    _pool.close()
     procs = []
 
     class Recorded(subprocess.Popen):
@@ -57,7 +62,8 @@ def started(monkeypatch):
             procs.append(self)
 
     monkeypatch.setattr(subprocess, "Popen", Recorded)
-    return procs
+    yield procs
+    _pool.close()
 
 
 def all_reaped(procs):

@@ -486,29 +486,39 @@ def test_functional_mc_worker_counts_bitwise_equal(monkeypatch, started):
     # a 3-state chain (top rate 2) with 25 paths at horizon 60: a path
     # expects 120 + _PATH_JUMPS = 376 jumps, so with _SHARE_JUMPS = 8 x 376
     # the parent's share takes 4 more paths, what a worker walks while it
-    # starts; the parent walks in blocks of two paths, each worker in one
+    # starts, unless idle workers take every other share; the parent walks
+    # in blocks of two paths, each worker in one
     gen = Generator([[-1.5, 1.0, 0.5], [0.3, -0.8, 0.5], [1.2, 0.8, -2.0]])
     monkeypatch.setattr(chain, "_WALK_JUMPS", 300)
     monkeypatch.setattr(chain, "_SHARE_JUMPS", 8 * 376)
+    monkeypatch.setattr(_pool, "_cpus", lambda: 3)  # keeps two idle workers
     shares = recorded_shares(monkeypatch)
     runs = []
-    for k in (1, 2, 3):
-        monkeypatch.setattr(_pool, "_workers", lambda work, least, k=k: k)
+    for k in (1, 2, 3, 3, 2):
+        monkeypatch.setattr(_pool, "_workers", lambda work, cold, warm, k=k: k)
         runs.append(discounted_functional_mc(gen, 0.1, [1.0, 0.0, 2.0], 2, 60.0, 25, seed=5))
-    assert runs[0] == runs[1] == runs[2]
-    assert shares == [[(0, 25)], [(0, 14), (14, 25)], [(0, 11), (11, 18), (18, 25)]]
-    assert len(started) == 1 + 2 and all_reaped(started)
+    assert runs == runs[:1] * 5
+    assert shares == [[(0, 25)], [(0, 14), (14, 25)], [(0, 11), (11, 18), (18, 25)],
+                      [(0, 8), (8, 16), (16, 25)], [(0, 12), (12, 25)]]
+    # the first 2- and 3-share runs start one worker each; the rest reuse them
+    assert len(started) == 2 and _pool.idle() == 2
+    _pool.close()
+    assert all_reaped(started)
 
 
 def test_functional_mc_every_share_keeps_a_path(monkeypatch, started):
     # two paths, two shares: the start-up head leaves each share one path
     gen = Generator.two_state_symmetric(1.0)
     shares = recorded_shares(monkeypatch)
+    monkeypatch.setattr(_pool, "_cpus", lambda: 2)
     one = discounted_functional_mc(gen, 0.1, [1.0, 2.0], 1, 10.0, 2, seed=3)
-    monkeypatch.setattr(_pool, "_workers", lambda work, least: 2)
+    monkeypatch.setattr(_pool, "_workers", lambda work, cold, warm: 2)
     assert discounted_functional_mc(gen, 0.1, [1.0, 2.0], 1, 10.0, 2, seed=3) == one
-    assert shares == [[(0, 2)], [(0, 1), (1, 2)]]
-    assert len(started) == 1 and all_reaped(started)
+    assert discounted_functional_mc(gen, 0.1, [1.0, 2.0], 1, 10.0, 2, seed=3) == one
+    assert shares == [[(0, 2)], [(0, 1), (1, 2)], [(0, 1), (1, 2)]]
+    assert len(started) == 1 and _pool.idle() == 1  # the second run reused the worker
+    _pool.close()
+    assert all_reaped(started)
 
 
 def test_functional_mc_small_runs_stay_in_process(started):
@@ -526,14 +536,18 @@ def test_functional_mc_many_short_paths_split(monkeypatch, started):
     monkeypatch.setattr(_pool.os, "cpu_count", lambda: 2)
     assert 100_000 * 10.0 * np.max(-np.diag(gen.q)) < 2 * chain._SHARE_JUMPS
     split = discounted_functional_mc(gen, 0.1, [1.0, 2.0], 1, 10.0, 100_000, seed=5)
-    assert len(started) == 1 and all_reaped(started)
-    monkeypatch.setattr(_pool, "_workers", lambda work, least: 1)
+    assert len(started) == 1 and _pool.idle() == 1
+    assert discounted_functional_mc(gen, 0.1, [1.0, 2.0], 1, 10.0, 100_000, seed=5) == split
+    assert len(started) == 1  # the warm worker took the second run's share
+    monkeypatch.setattr(_pool, "_workers", lambda work, cold, warm: 1)
     assert discounted_functional_mc(gen, 0.1, [1.0, 2.0], 1, 10.0, 100_000, seed=5) == split
     assert len(started) == 1
+    _pool.close()
+    assert all_reaped(started)
 
 
 def test_functional_mc_refusals_precede_workers(monkeypatch, started):
-    monkeypatch.setattr(_pool, "_workers", lambda work, least: 2)
+    monkeypatch.setattr(_pool, "_workers", lambda work, cold, warm: 2)
     gen = Generator.two_state_symmetric(1.0)
     g = [1.0, 2.0]
     with pytest.raises(ValueError, match="i0 must be in 1..2"):
@@ -546,17 +560,21 @@ def test_functional_mc_refusals_precede_workers(monkeypatch, started):
         discounted_functional_mc(gen, 0.1, [1.0], 1, 10.0, 8, seed=0)
     with pytest.raises(ValueError, match="n_paths >= 2"):
         discounted_functional_mc(gen, 0.1, g, 1, 10.0, 1, seed=0)
+    with pytest.raises(ValueError, match="budget"):  # 16 B of values a path
+        discounted_functional_mc(gen, 0.1, g, 1, 10.0, 2**28, seed=0)
     assert started == []
 
 
 def test_functional_mc_failed_share_reaps_workers(monkeypatch, started):
     gen = Generator.two_state_symmetric(1.0)
-    monkeypatch.setattr(_pool, "_workers", lambda work, least: 2)
-    # a worker's share fails: its exception reaches the caller
+    monkeypatch.setattr(_pool, "_workers", lambda work, cold, warm: 2)
+    monkeypatch.setattr(_pool, "_cpus", lambda: 2)
+    # a worker's share fails: its exception reaches the caller, and the
+    # worker, which wrote it whole, serves on
     share = (gen, 0.1, np.array([1.0, 2.0]), 1, 10.0, 0, 0, 4)
     with pytest.raises(TypeError):
         list(_pool.run("regimeplan.chain", "_functional_share", [share, (None,) * 8]))
-    assert len(started) == 1 and all_reaped(started)
+    assert len(started) == 1 and _pool.idle() == 1 and started[0].poll() is None
 
     def interrupted(*args):  # the parent's own share; the worker runs the real one
         raise KeyboardInterrupt
@@ -564,4 +582,5 @@ def test_functional_mc_failed_share_reaps_workers(monkeypatch, started):
     monkeypatch.setattr(chain, "_functional_share", interrupted)
     with pytest.raises(KeyboardInterrupt):
         discounted_functional_mc(gen, 0.1, [1.0, 2.0], 1, 10.0, 8, seed=0)
-    assert len(started) == 2 and all_reaped(started)
+    # the idle worker took the share, and its unread result ended it
+    assert len(started) == 1 and _pool.idle() == 0 and all_reaped(started)

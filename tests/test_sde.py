@@ -2,6 +2,7 @@
 
 import math
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -196,12 +197,16 @@ def test_worker_counts_bitwise_equal(p_bench, sol_bench, monkeypatch, started):
     # 25 paths in blocks of 4: seven blocks, split unevenly into 2 or 3 shares
     cfg = SimConfig(dt=0.05, horizon=20.0, n_paths=25, seed=12, x0=1.0, i0=2)
     monkeypatch.setattr(sde, "_BLOCK", 4)
+    monkeypatch.setattr(_pool, "_cpus", lambda: 3)  # keeps two idle workers
     runs = []
     for k in (1, 2, 3):
-        monkeypatch.setattr(_pool, "_workers", lambda work, least, k=k: k)
+        monkeypatch.setattr(_pool, "_workers", lambda work, cold, warm, k=k: k)
         runs.append(engine_results(p_bench, sol_bench, cfg))
     assert runs[0] == runs[1] == runs[2]
-    assert len(started) == 5 * (1 + 2)  # five engine runs, at 2 and at 3 shares
+    # five engine runs at 2 shares start one worker; five at 3 shares one more
+    assert len(started) == 2 and _pool.idle() == 2
+    assert not any(proc.poll() for proc in started)
+    _pool.close()
     assert all_reaped(started)
 
 
@@ -218,14 +223,18 @@ def test_worker_counts_with_narrow_blocks(p_bench, monkeypatch, started):
         return events(p, cfg, lo, hi)
 
     monkeypatch.setattr(sde, "_jump_events", spy)
+    monkeypatch.setattr(_pool, "_cpus", lambda: 3)  # keeps two idle workers
     ests = []
     for k in (1, 2, 3):
-        monkeypatch.setattr(_pool, "_workers", lambda work, least, k=k: k)
+        monkeypatch.setattr(_pool, "_workers", lambda work, cold, warm, k=k: k)
         ests.append(mc_cost(fast, sol, cfg))
     assert ests[0] == ests[1] == ests[2]
     # the parent's own shares: all three blocks, then 524 and 349 paths
     assert widths == [524, 524, 1, 524, 349]
-    assert len(started) == 3 and all_reaped(started)
+    # the 2-share run starts a worker, the 3-share run reuses it and starts one
+    assert len(started) == 2 and _pool.idle() == 2
+    _pool.close()
+    assert all_reaped(started)
 
 
 def test_callable_policy_runs_in_process(p_bench, sol_bench, monkeypatch, started):
@@ -237,7 +246,7 @@ def test_callable_policy_runs_in_process(p_bench, sol_bench, monkeypatch, starte
 
     cfg = SimConfig(dt=0.05, horizon=5.0, n_paths=12, seed=2, x0=0.0, i0=1)
     monkeypatch.setattr(sde, "_BLOCK", 4)
-    monkeypatch.setattr(_pool, "_workers", lambda work, least: 3)
+    monkeypatch.setattr(_pool, "_workers", lambda work, cold, warm: 3)
     assert mc_cost(p_bench, plain, cfg).n == 12
     assert started == []
 
@@ -252,7 +261,7 @@ def test_small_runs_stay_in_process(p_bench, sol_bench, started):
 
 def test_refusals_precede_workers(p_bench, sol_bench, monkeypatch, started):
     monkeypatch.setattr(sde, "_BLOCK", 4)
-    monkeypatch.setattr(_pool, "_workers", lambda work, least: 2)
+    monkeypatch.setattr(_pool, "_workers", lambda work, cold, warm: 2)
     cfg = SimConfig(dt=0.1, horizon=10.0, n_paths=8, seed=0, x0=0.0, i0=3)
     with pytest.raises(ValueError, match="i0 must be in 1..2"):
         mc_cost(p_bench, sol_bench, cfg)
@@ -263,16 +272,22 @@ def test_refusals_precede_workers(p_bench, sol_bench, monkeypatch, started):
     cfg = SimConfig(dt=0.1, horizon=200.0, n_paths=100_000, seed=0, x0=0.0, i0=1)
     with pytest.raises(ValueError, match="budget"):
         asymptotic_decay(p_bench, sol_bench, cfg, cfg.times()[1:])
+    # 16 B a path of costs, a share's and the gathered copy, with no node kept
+    cfg = SimConfig(dt=1.0, horizon=1.0, n_paths=2**28, seed=0, x0=0.0, i0=1)
+    with pytest.raises(ValueError, match="budget"):
+        mc_cost(p_bench, sol_bench, cfg)
     assert started == []
 
 
 def test_no_worker_outlives_a_failed_run(p_bench, sol_bench, monkeypatch, started):
     monkeypatch.setattr(sde, "_BLOCK", 4)
-    monkeypatch.setattr(_pool, "_workers", lambda work, least: 2)
+    monkeypatch.setattr(_pool, "_workers", lambda work, cold, warm: 2)
+    monkeypatch.setattr(_pool, "_cpus", lambda: 2)
     cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=8, seed=0, x0=1e200, i0=1)
     with pytest.raises(ValueError, match="discounted cost is not finite"):
         mc_cost(p_bench, sol_bench, cfg)
-    assert len(started) == 1 and all_reaped(started)
+    # the worker's result was read before the parent refused it: it serves on
+    assert len(started) == 1 and _pool.idle() == 1 and started[0].poll() is None
 
     def interrupted(*args):  # the parent's own share; the worker runs the real one
         raise KeyboardInterrupt
@@ -281,48 +296,134 @@ def test_no_worker_outlives_a_failed_run(p_bench, sol_bench, monkeypatch, starte
     with pytest.raises(KeyboardInterrupt):
         mc_cost(p_bench, sol_bench, SimConfig(dt=0.01, horizon=1.0, n_paths=8, seed=0,
                                               x0=0.0, i0=1))
-    assert len(started) == 2 and all_reaped(started)
+    # the idle worker took the share, and its unread result ended it
+    assert len(started) == 1 and _pool.idle() == 0 and all_reaped(started)
 
 
-def test_worker_failures_reach_parent(started):
-    proc = _pool._start("regimeplan.sde", "_share", (None,) * 9)  # _share fails on these
-    try:
-        with pytest.raises(TypeError):
-            _pool._collect(proc)
-    finally:
-        _pool._end(proc)
-    proc = _pool._start("regimeplan.sde", "_share", (None,) * 9)
-    proc.kill()  # long before it could write a result
-    try:
-        with pytest.raises(RuntimeError, match="engine worker exited with status -9"):
-            _pool._collect(proc)
-    finally:
-        _pool._end(proc)
-    assert len(started) == 2 and all_reaped(started)
+def test_interrupted_run_is_not_read_by_the_next(p_bench, sol_bench, monkeypatch, started):
+    monkeypatch.setattr(sde, "_BLOCK", 4)
+    monkeypatch.setattr(_pool, "_cpus", lambda: 2)
+    cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=8, seed=0, x0=0.0, i0=1)
+    other = SimConfig(dt=0.01, horizon=1.0, n_paths=8, seed=1, x0=0.0, i0=1)
+    monkeypatch.setattr(_pool, "_workers", lambda work, cold, warm: 1)
+    alone = mc_cost(p_bench, sol_bench, cfg)
+    assert started == []
+    monkeypatch.setattr(_pool, "_workers", lambda work, cold, warm: 2)
+    share = sde._share
+
+    def interrupted(*args):  # the parent's own share; the worker runs the real one
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(sde, "_share", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        mc_cost(p_bench, sol_bench, other)
+    assert len(started) == 1 and started[0].returncode == -signal.SIGKILL
+    monkeypatch.setattr(sde, "_share", share)
+    assert mc_cost(p_bench, sol_bench, cfg) == alone
+    # a generator closed before a worker's result was read ends that worker
+    runs = _pool.run("time", "sleep", [(0,), (0,)])
+    next(runs)
+    runs.close()
+    assert len(started) == 2 and _pool.idle() == 0 and all_reaped(started)
+    assert mc_cost(p_bench, sol_bench, cfg) == alone
+    assert len(started) == 3 and _pool.idle() == 1
+
+
+def test_worker_failures_reach_parent(monkeypatch, started):
+    monkeypatch.setattr(_pool, "_cpus", lambda: 2)
+    monkeypatch.setattr(sde, "_share", lambda *args: None)  # the parent's share only
+    with pytest.raises(TypeError):  # the worker's real _share fails on these
+        list(_pool.run("regimeplan.sde", "_share", [(), (None,) * 9]))
+    # it wrote its exception whole, so it serves the next run
+    assert len(started) == 1 and _pool.idle() == 1
+    runs = _pool.run("time", "sleep", [(0,), (60,)])
+    next(runs)
+    started[0].kill()  # long before it could write a result
+    with pytest.raises(RuntimeError, match="engine worker exited with status -9"):
+        next(runs)
+    assert len(started) == 1 and _pool.idle() == 0 and all_reaped(started)
+
+
+def test_worker_killed_while_idle_is_replaced(p_bench, sol_bench, monkeypatch, started):
+    monkeypatch.setattr(sde, "_BLOCK", 4)
+    monkeypatch.setattr(_pool, "_cpus", lambda: 2)
+    monkeypatch.setattr(_pool, "_workers", lambda work, cold, warm: 2)
+    cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=8, seed=0, x0=0.0, i0=1)
+    est = mc_cost(p_bench, sol_bench, cfg)
+    assert len(started) == 1 and _pool.idle() == 1
+    started[0].kill()
+    started[0].wait()
+    assert mc_cost(p_bench, sol_bench, cfg) == est
+    assert len(started) == 2 and _pool.idle() == 1 and started[1].poll() is None
+    _pool.close()
+    assert all_reaped(started)
+
+
+def test_forked_child_starts_its_own_workers(p_bench, sol_bench, monkeypatch, started):
+    # the pool belongs to the pid that started it; a fork sees another pid
+    monkeypatch.setattr(sde, "_BLOCK", 4)
+    monkeypatch.setattr(_pool, "_cpus", lambda: 2)
+    monkeypatch.setattr(_pool, "_workers", lambda work, cold, warm: 2)
+    cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=8, seed=0, x0=0.0, i0=1)
+    est = mc_cost(p_bench, sol_bench, cfg)
+    assert len(started) == 1 and _pool.idle() == 1
+    pid = os.getpid()
+    with monkeypatch.context() as child:
+        child.setattr(os, "getpid", lambda: pid + 1)
+        assert _pool.idle() == 0
+        assert mc_cost(p_bench, sol_bench, cfg) == est
+        assert len(started) == 2 and _pool.idle() == 1
+        _pool.close()  # the child's worker, not its parent's
+    assert all_reaped(started[1:]) and started[0].poll() is None
+    assert _pool.idle() == 1
+    assert mc_cost(p_bench, sol_bench, cfg) == est  # the parent's worker, untouched
+    assert len(started) == 2
+    _pool.close()
+    assert all_reaped(started)
 
 
 def test_two_shares_from_a_script_without_main_guard(p_bench, sol_bench, tmp_path):
-    # workers never import __main__ and never fork a threaded parent
+    # workers never import __main__ and never fork a threaded parent; the
+    # pool's exit hook, registered after the script's own, reaps the idle one
     cfg = SimConfig(dt=0.05, horizon=5.0, n_paths=8, seed=3, x0=0.0, i0=1)
     script = tmp_path / "no_guard.py"
     script.write_text(
-        "import subprocess\n"
+        "import atexit, os, subprocess\n"
         "from regimeplan import SimConfig, _pool, benchmark_params, mc_cost, sde, solve\n"
         "sde._BLOCK = 4\n"
-        "_pool._workers = lambda work, least: 2\n"
-        "started = []\n"
+        "_pool._workers = lambda work, cold, warm: 2\n"
+        "_pool._cpus = lambda: 2\n"
+        "pids = []\n"
         "popen = subprocess.Popen\n"
-        "subprocess.Popen = lambda *a, **kw: started.append(1) or popen(*a, **kw)\n"
+        "def recorded(*a, **kw):\n"
+        "    proc = popen(*a, **kw)\n"
+        "    pids.append(proc.pid)\n"
+        "    return proc\n"
+        "subprocess.Popen = recorded\n"
+        "def alive(pid):\n"
+        "    try:\n"
+        "        os.kill(pid, 0)\n"
+        "    except ProcessLookupError:\n"
+        "        return False\n"
+        "    return True\n"
+        "atexit.register(lambda: print(sum(map(alive, pids))))\n"
         "p = benchmark_params()\n"
         f"est = mc_cost(p, solve(p), {cfg!r})\n"
-        "print(len(started))\n"
-        "print(repr(est))\n")
+        "print(repr(est))\n"
+        "print(_pool.idle(), *pids)\n")
     src = str(Path(sde.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", str(script)],
                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["1", repr(mc_cost(p_bench, sol_bench, cfg))]
+    est, pool, at_exit = out.stdout.splitlines()
+    assert est == repr(mc_cost(p_bench, sol_bench, cfg))
+    idle, *pids = map(int, pool.split())
+    assert idle == 1 and len(pids) == 1  # one worker, kept until the script ended
+    assert at_exit == "0"  # none alive once the pool's exit hook ran
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_jumps_land_where_regimes_on_grid_puts_them(p_bench, sol_bench):
