@@ -1,27 +1,37 @@
 """Worker processes for the engines' path shares.
 
-run(module, name, shares) calls the function module.name once per share
-and yields the results in share order: the first share runs in the calling
-process, each other one in a worker.  A worker is a fresh interpreter
-started with -c, never a fork of the caller, and imports only the named
-module, so a script needs no `if __name__ == "__main__"` guard.  It serves
-one share after another from its stdin until EOF, so the pool keeps up to
-cpus - 1 idle workers between runs and a run takes them (idle() counts
-them) before it starts new ones: a warm worker costs a pickle round trip,
-a new one its start-up.  Each worker serves one run at a time.  A worker
-whose result was not read, because the caller raised, was interrupted or
-closed the generator early, is killed and reaped, never kept, so no run
-reads another's result; one that died while idle is replaced.  Workers
-belong to the process that started them: a forked child neither writes to
-nor ends its parent's, and starts its own.  close() ends the idle workers:
-EOF on stdin ends each one's loop, and it is reaped.  An atexit hook calls
-it, so no worker outlives its caller.  subprocess, pickle and atexit are
-imported, and the hook registered, only when the first worker starts, so
-importing the package starts no process machinery.
+map_paths(module, name, args, n, unit, cold, warm) alone cuts a run's
+paths 0..n-1 into contiguous shares, at most one per usable CPU, runs them
+and gathers their per-path results in path order, so what a caller reduces
+from them is bitwise equal for any split.  A path is worth `unit` units of
+work; every share keeps at least one path and needs `warm` units where idle
+workers take every share but the caller's, else `cold`, which pays for a
+new worker's start-up, so a small run starts none.  While a worker starts,
+the caller's share runs cold / 2 units more.
+
+run(module, name, shares) calls module.name once per share and yields the
+results in share order: the first share runs in the calling process, each
+other one in a worker.  A worker is a fresh interpreter started with -c,
+never a fork of the caller, and imports only the named module, so a script
+needs no `if __name__ == "__main__"` guard.  It serves one share after
+another from its stdin until EOF, so up to cpus - 1 idle workers stay warm
+between runs (idle() counts them), and a run takes them before it starts
+new ones.  Each serves one run at a time; one whose result was not read is
+killed (see run), so no run reads another's result, and one that died
+while idle is replaced.  Workers belong to the process that started them:
+a forked child neither writes to nor ends its parent's, and starts its
+own.  close() ends the idle workers: EOF on stdin ends each one's loop, and
+it is reaped.  An atexit hook calls it, so no worker outlives its caller.
+subprocess, pickle and atexit are imported, and the hook registered, only
+when the first worker starts, so importing the package starts no process
+machinery.
 """
 
 import importlib
 import os
+from contextlib import closing
+
+import numpy as np
 
 _IDLE: dict = {}  # pid -> the idle workers that process started
 
@@ -42,9 +52,8 @@ def idle() -> int:
 def _workers(work: float, cold: float, warm: float) -> int:
     """Processes for a run of `work` units, at most one per usable CPU.
 
-    Each process is given at least `warm` units where idle workers can take
-    every share but the caller's, else at least `cold`, which pays for a
-    new worker's start-up.
+    Each gets `warm` units where idle workers take every share but the
+    caller's, else `cold`.
     """
     cpus = _cpus()
     return max(1, min(cpus, int(work // cold)), min(cpus, idle() + 1, int(work // warm)))
@@ -167,9 +176,37 @@ def run(module: str, name: str, shares):
             if isinstance(res, BaseException):
                 raise res
             yield res
+            del res  # so the caller can drop it before the next one is read
     finally:
         for k, proc in enumerate(procs):
             if k < read and len(idle_procs) < _cpus() - 1:
                 idle_procs.append(proc)
             else:
                 _end(proc)
+
+
+def map_paths(module: str, name: str, args: tuple, n: int, unit: float, cold: float,
+              warm: float) -> tuple:
+    """module.name(*args, lo, hi) over paths 0..n-1 in shares, gathered in path order.
+
+    The function returns a tuple of arrays whose last axes run over paths
+    lo..hi-1, and map_paths the same tuple over all n paths.  One share's
+    tuple comes back as it is; with more, each array is allocated when the
+    first share arrives, and each share is dropped before the next is read.
+    """
+    shares = min(n, _workers(n * unit, cold, warm))
+    # the paths the caller runs while a worker starts, if one has to
+    head = min(int(cold / 2 / unit), n - shares) if shares - 1 > idle() else 0
+    cuts = [0] + [head + (n - head) * s // shares for s in range(1, shares + 1)]
+    bounds = list(zip(cuts, cuts[1:]))
+    with closing(run(module, name, [args + b for b in bounds])) as parts:
+        if shares == 1:
+            return next(parts)
+        out = ()
+        for lo, hi in bounds:
+            part = next(parts)
+            out = out or tuple(np.empty(a.shape[:-1] + (n,), a.dtype) for a in part)
+            for whole, a in zip(out, part):
+                whole[..., lo:hi] = a
+            part = a = None  # a share's arrays go before the next one is read
+        return out

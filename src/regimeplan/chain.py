@@ -17,13 +17,11 @@ state and key, and numpy sums the holding times, with the same draws, picks
 and float operations as adding one holding time per jump.  Each path owns
 its stream, so a path's jumps do not depend on the block it walks in.  The
 tables are built once per generator and process and kept in a small cache
-keyed by the generator's rates.  discounted_functional_mc splits a large
-run into contiguous path shares run in worker processes (module _pool),
-which stay warm between runs: the caller's share is larger by what a
-worker walks while it starts only when one has to start.  It reduces the
-per-path values in global path order, so its result does not depend on
-the worker count.  regimes_on_grid samples a path at grid times
-by merging its jump times into the grid.
+keyed by the generator's rates.  discounted_functional_mc runs its paths
+in shares through _pool.map_paths and reduces the per-path values in
+global path order, so its result does not depend on the worker count.
+regimes_on_grid samples a path at grid times by merging its jump times
+into the grid.
 """
 
 from __future__ import annotations
@@ -272,12 +270,14 @@ def _walks(gen: Generator, i0: int, horizon: float, streams):
     expects about _WALK_JUMPS jumps (and holds at least one path), so a
     round's arrays stay near 2^14 path x draw entries (128 KiB each; blocks
     twice as large raised a process's peak RSS by 2 MB for no speed).
-    Raises ValueError, before any walk, unless i0 is in 1..m, the horizon is
-    positive and finite, and horizon x largest exit rate <= _BLOCK_JUMPS.
+    Raises ValueError, before any walk, unless i0 is an integer in 1..m,
+    the horizon is positive and finite, and horizon x largest exit rate
+    <= _BLOCK_JUMPS.
     The jump tables come from _cached_tables when the first block is
     walked, so a call made only for these checks builds none, and a later
     call on an equal generator reuses them.
     """
+    _require_int("i0", i0)
     if not 1 <= i0 <= gen.m:
         raise ValueError(f"i0 must be in 1..{gen.m}")
     if not (horizon > 0 and math.isfinite(horizon)):
@@ -341,6 +341,12 @@ def _mean_se(vals: np.ndarray):
     return mean, se
 
 
+def _require_int(name: str, value) -> None:
+    """ValueError unless value is a Python or numpy integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 def _functional_args(gen: Generator, r: float, g) -> np.ndarray:
     """Check a discount rate and regime functional; return g as a float array."""
     if not (r > 0 and math.isfinite(r)):
@@ -379,41 +385,34 @@ def discounted_functional_mc(gen: Generator, r: float, g, i0: int,
     so the only error sources are statistics and the horizon truncation.
     Path k draws from the stream derived from (seed, k).  Returns
     (mean, std_error) with the sample standard deviation using ddof=1, so
-    n_paths must be at least 2.  Raises ValueError, before any walk, unless
-    r is positive and finite and g finite, for per-path values
-    (_VALUE_BYTES a path) over _KEEP_BUDGET bytes, and as _walks does.
-
-    A run expecting at least 2 x _SHARE_JUMPS jumps, counting _PATH_JUMPS
-    more for each path, or 2 x _WARM_JUMPS where idle workers take every
-    share but the caller's, splits its paths into contiguous shares, one
-    per usable CPU (see _pool._workers): this process walks the first and a
-    worker process each other one.  When a worker has to start, the first
-    share also takes the paths it walks meanwhile, about _SHARE_JUMPS / 2
-    expected jumps; every share keeps at least one path.  The per-path
-    values land in global path order before the one reduction, so the
-    result is bitwise equal for any worker count and split.
+    n_paths must be at least 2.  The paths run through _pool.map_paths, a
+    path worth its expected jumps plus _PATH_JUMPS, at _SHARE_JUMPS or
+    _WARM_JUMPS a share.  Raises ValueError, before any walk or worker,
+    unless r is positive and finite, g finite and n_paths and seed integers
+    (seed nonnegative), for per-path values (_VALUE_BYTES a path) over
+    _KEEP_BUDGET bytes, and as _walks does.
     """
     g = _functional_args(gen, r, g)
+    _require_int("n_paths", n_paths)
+    _require_int("seed", seed)
     if n_paths < 2:
         raise ValueError("discounted_functional_mc needs n_paths >= 2")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     _walks(gen, i0, horizon, ())  # its checks, before any walk or worker
     held = n_paths * _VALUE_BYTES
     if held > _KEEP_BUDGET:
         raise ValueError(f"the run would hold {held / 2**30:.3g} GiB of per-path values, over "
                          f"the {_KEEP_BUDGET / 2**30:g} GiB budget; use fewer paths")
     per_path = horizon * float(np.max(-np.diag(gen.q))) + _PATH_JUMPS
-    shares = min(_pool._workers(n_paths * per_path, _SHARE_JUMPS, _WARM_JUMPS), n_paths)
-    head = 0  # what a worker walks while it starts, if one has to start
-    if shares - 1 > _pool.idle():
-        head = min(int(_SHARE_JUMPS / 2 / per_path), n_paths - shares)
-    cuts = [0] + [head + (n_paths - head) * s // shares for s in range(1, shares + 1)]
-    args = [(gen, r, g, i0, horizon, seed, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    return _mean_se(np.concatenate(list(_pool.run(__name__, "_functional_share", args))))
+    (vals,) = _pool.map_paths(__name__, "_functional_share", (gen, r, g, i0, horizon, seed),
+                              n_paths, per_path, _SHARE_JUMPS, _WARM_JUMPS)
+    return _mean_se(vals)
 
 
 def _functional_share(gen: Generator, r: float, g: np.ndarray, i0: int, horizon: float,
-                      seed: int, lo: int, hi: int) -> np.ndarray:
-    """discounted_functional_mc's per-path values for paths lo..hi-1.
+                      seed: int, lo: int, hi: int) -> tuple:
+    """discounted_functional_mc's per-path values for paths lo..hi-1, as a 1-tuple.
 
     Path k's value is g(states) @ (disc[:-1] - disc[1:]) / r, with disc
     e^{-r t} at its jump times and then at the horizon.
@@ -428,4 +427,4 @@ def _functional_share(gen: Generator, r: float, g: np.ndarray, i0: int, horizon:
         gs = g[st]
         for j, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
             vals[path[a]] = gs[a:b] @ step[a + j:b + j] / r
-    return vals
+    return (vals,)

@@ -49,25 +49,13 @@ simulate_controlled lists every node and derives u through the law, so kept
 paths take the same step and the same quadrature as the estimates.  Every per-path operation is
 elementwise and runs in grid order, and all reductions run over arrays in
 global path order, so a given SimConfig produces bit-identical results
-whatever the block and chunk sizes.
-
-Because paths are independent, an affine run splits its paths into
-contiguous shares, one per CPU the process may use (os.sched_getaffinity,
-else os.cpu_count).  A share needs _WARM_WORK path-steps where idle workers
-take every share but the caller's, else _SHARE_WORK, so a small run starts
-no worker; shares are not capped at the block count, so a 1024-path run
-splits into two 512-path shares.  The caller runs the first share and a
-worker process each other one (module _pool, which the chain functional
-shares); results land in global path order, so estimates and kept paths
-are bitwise equal for any worker count.  Workers are fresh interpreters
-started with -c, never a fork of the caller, and they import only this
-package, so a script needs no `if __name__ == "__main__"` guard.  They
-stay warm between runs, and an exit hook reaps them.  A callable policy
-runs in process, since it may not pickle and is called per node anyway.
+whatever the block, chunk and share sizes.  An affine run's paths go to
+worker processes in shares (_pool.map_paths, at _SHARE_WORK or _WARM_WORK
+path-steps a share); a callable policy runs in process, since it may not
+pickle and is called per node anyway.
 """
 
 import math
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +110,8 @@ class SimConfig:
             raise ValueError("horizon / dt must be below 2**53 steps")
         if not math.isfinite(self.x0):
             raise ValueError("x0 must be finite")
+        for name in ("n_paths", "seed", "i0"):
+            chain._require_int(name, getattr(self, name))
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         if self.seed < 0:
@@ -246,15 +236,6 @@ def _jump_events(p: ModelParams, cfg: SimConfig, lo: int, hi: int):
     return node[order], path[order], state[order]
 
 
-@dataclass
-class _EngineOut:
-    costs: np.ndarray          # per-path truncated discounted cost, global order
-    tail_max: float            # max undiscounted integrand over the last quarter
-    x: np.ndarray              # (len(record), n_paths) states at the recorded nodes
-    regime: np.ndarray         # (len(record), n_paths) 0-based regimes there
-    cost: np.ndarray           # (len(record), n_paths) running trapezoid cost there
-
-
 def _require_finite(costs: np.ndarray) -> None:
     """Turn an overflowed cost, computed with numpy's warnings off, into ValueError."""
     bad = ~np.isfinite(costs)
@@ -265,7 +246,7 @@ def _require_finite(costs: np.ndarray) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
+def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> tuple:
     """Drive all paths through the Euler scheme in shares, path blocks and time chunks.
 
     policy is a PolicyCoefficients (folded tables, no call per step) or any
@@ -273,18 +254,11 @@ def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
     states, the matching array of 1-based regimes and the scalar time, and
     returning something that broadcasts to the states' shape; its u refills
     the B and gamma rows, from the theta, h and R rows carried after them.
-    Both kinds share one node body (_share).  At the j-th grid node listed
-    in record (distinct nodes) every path's state, 0-based regime and running
-    cost are written to row j of three time-major matrices; the running cost
-    is the trapezoid over [0, t_node], so 0 at node 0 and each path's final
-    cost at node n_steps.  An affine run worth more than one worker (see
-    _pool._workers) splits its paths into contiguous shares of at least one
-    path each: the parent runs the first, a worker process each other one,
-    and the results land in global path order.  Raises ValueError, before
-    any walk or worker, for a record and per-path costs (chain._VALUE_BYTES
-    a path) over chain._KEEP_BUDGET bytes, a start regime outside 1..m or a
-    path the chain walk's budget refuses, and after all shares for a
-    non-finite cost.
+    Both kinds share one node body, and this returns _share's results over
+    all paths.  Raises ValueError, before any walk or worker, for a record
+    and per-path costs and tails (2 x chain._VALUE_BYTES a path) over
+    chain._KEEP_BUDGET bytes, a start regime outside 1..m or a path the
+    chain walk's budget refuses, and after all shares for a non-finite cost.
     """
     if not p.r > 0:
         raise ValueError("r not positive")
@@ -298,45 +272,31 @@ def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> _EngineOut:
         one, zero = np.ones(p.m), np.zeros(p.m)
         tables = np.array([one, zero, p.sigma, p.c, 0.5 * p.N, zero,
                            p.theta, p.h, p.R])
-    kept = n_paths * (len(record) * _KEPT_PER_NODE + chain._VALUE_BYTES)
+    kept = n_paths * (len(record) * _KEPT_PER_NODE + 2 * chain._VALUE_BYTES)
     if kept > chain._KEEP_BUDGET:
         raise ValueError(f"simulation would retain {kept / 2**30:.3g} GiB of paths, over the "
                          f"{chain._KEEP_BUDGET / 2**30:g} GiB budget; use fewer paths or nodes")
     chain._walks(p.gen, cfg.i0, n * cfg.dt, ())  # its checks, before any walk or worker
     jumps = n * cfg.dt * float(np.max(-np.diag(p.gen.q)))
     width = min(_BLOCK, n_paths, max(1, int(chain._BLOCK_JUMPS / max(jumps, 1.0))))
-    shares = (min(_pool._workers(n_paths * n, _SHARE_WORK, _WARM_WORK), n_paths)
-              if affine else 1)
-    cuts = [n_paths * s // shares for s in range(shares + 1)]
-    args = [(p, tables, policy, cfg, lo, hi, width, _CHUNK, record)
-            for lo, hi in zip(cuts, cuts[1:])]
-    with closing(_pool.run(__name__, "_share", args)) as parts:
-        if shares == 1:
-            costs, tail_max, rec_x, rec_reg, rec_cost = next(parts)
-        else:
-            costs = np.empty(n_paths)
-            tail_max = 0.0
-            rec_x = np.empty((len(record), n_paths))
-            rec_reg = np.empty((len(record), n_paths), dtype=np.int64)
-            rec_cost = np.empty((len(record), n_paths))
-            for lo, hi, part in zip(cuts, cuts[1:], parts):
-                costs[lo:hi], tail, rec_x[:, lo:hi], rec_reg[:, lo:hi], rec_cost[:, lo:hi] = part
-                tail_max = max(tail_max, tail)
-                del part  # frees a share's record before the next one arrives
-    _require_finite(costs)
-    return _EngineOut(costs=costs, tail_max=tail_max, x=rec_x, regime=rec_reg,
-                      cost=rec_cost)
+    args = (p, tables, policy, cfg, width, _CHUNK, record)
+    out = (_pool.map_paths(__name__, "_share", args, n_paths, n, _SHARE_WORK, _WARM_WORK)
+           if affine else _share(*args, 0, n_paths))
+    _require_finite(out[0])
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _share(p: ModelParams, tables: np.ndarray, policy, cfg: SimConfig, lo: int, hi: int,
-           width: int, chunk: int, record):
+def _share(p: ModelParams, tables: np.ndarray, policy, cfg: SimConfig, width: int,
+           chunk: int, record, lo: int, hi: int):
     """Paths lo..hi-1 in blocks of `width` paths and chunks of `chunk` nodes.
 
     tables are _run's per-regime rows; policy is None for affine tables, else
     the callable whose u refills them at every node.  Returns the paths'
-    costs, their tail maximum and their (len(record), hi - lo) states,
-    0-based regimes and running costs at the record nodes.
+    costs, their largest undiscounted integrand over the last quarter of the
+    grid, and (len(record), hi - lo) matrices of their states, 0-based
+    regimes and running trapezoid costs (0 at node 0) at the distinct record
+    nodes, in record's order.
     """
     n_paths = hi - lo
     n = cfg.n_steps
@@ -350,7 +310,7 @@ def _share(p: ModelParams, tables: np.ndarray, policy, cfg: SimConfig, lo: int, 
     rec_reg = np.empty((len(rows), n_paths), dtype=np.int64)
     rec_cost = np.empty((len(rows), n_paths))
     costs = np.empty(n_paths)
-    tail_max = 0.0
+    tails = np.empty(n_paths)
     width = min(width, n_paths)
     tile = np.empty((64, chunk))
     dw_time = np.empty((chunk, width))
@@ -422,9 +382,9 @@ def _share(p: ModelParams, tables: np.ndarray, policy, cfg: SimConfig, lo: int, 
                     np.multiply(sig, dw[t], out=tmp)
                     np.add(x, tmp, out=x)
         costs[b0:b1] = cost
-        tail_max = max(tail_max, float(tail.max()))
+        tails[b0:b1] = tail
         del ev_node, ev_path, ev_state, ch_path, ch_state, normals  # before the next walk
-    return costs, tail_max, rec_x, rec_reg, rec_cost
+    return costs, tails, rec_x, rec_reg, rec_cost
 
 
 def simulate_controlled(p: ModelParams, sol: RiccatiSolution,
@@ -445,8 +405,7 @@ def simulate_controlled(p: ModelParams, sol: RiccatiSolution,
     paths and keeps only reductions.  Raises ValueError as _run does.
     """
     law = policy_coefficients(sol, p)
-    out = _run(p, law, cfg, record=range(cfg.n_steps + 1))
-    xs, regs, cost = out.x, out.regime, out.cost
+    _, _, xs, regs, cost = _run(p, law, cfg, record=range(cfg.n_steps + 1))
     regs += 1  # 1-based labels, in place
     times = cfg.times()
     us = np.empty_like(xs)
@@ -479,10 +438,10 @@ def mc_cost(p: ModelParams, sol_or_policy, cfg: SimConfig) -> MCEstimate:
     policy = sol_or_policy
     if not callable(policy):
         policy = policy_coefficients(policy, p)
-    out = _run(p, policy, cfg)
-    mean, se = chain._mean_se(out.costs)
+    costs, tails, *_ = _run(p, policy, cfg)
+    mean, se = chain._mean_se(costs)
     t_end = cfg.n_steps * cfg.dt
-    bound = math.exp(-p.r * t_end) * out.tail_max / p.r
+    bound = math.exp(-p.r * t_end) * float(tails.max()) / p.r
     return MCEstimate(mean=mean, std_error=se, n=cfg.n_paths,
                       truncation_bound=bound)
 
@@ -514,9 +473,9 @@ def asymptotic_decay(p: ModelParams, sol: RiccatiSolution, cfg: SimConfig,
         nodes.append(k)
     if len(set(nodes)) != len(nodes):
         raise ValueError("checkpoints collide on the grid")
-    out = _run(p, policy_coefficients(sol, p), cfg, record=nodes)
+    _, _, rec_x, rec_reg, _ = _run(p, policy_coefficients(sol, p), cfg, record=nodes)
     result = []
-    for t, k, xs, ids in zip(cps, nodes, out.x, out.regime):
+    for t, k, xs, ids in zip(cps, nodes, rec_x, rec_reg):
         if adjoint:
             vals = (sol.phi[ids] * xs + sol.psi[ids]) ** 2
         else:

@@ -1,5 +1,5 @@
-"""Shared fixtures: the benchmark model, its solution, a random-instance factory
-and a record of the worker processes a test starts."""
+"""Shared fixtures: the benchmark model, its solution, a random-instance factory,
+a record of the worker processes a test starts and of the path shares it runs."""
 
 import subprocess
 
@@ -68,3 +68,16 @@ def started(monkeypatch):
 
 def all_reaped(procs):
     return all(proc.returncode is not None for proc in procs)
+
+
+def recorded_shares(monkeypatch):
+    """The (lo, hi) path ranges of each _pool.run call."""
+    calls = []
+    run = _pool.run
+
+    def recording(module, name, shares):
+        calls.append([args[-2:] for args in shares])
+        return run(module, name, shares)
+
+    monkeypatch.setattr(_pool, "run", recording)
+    return calls

@@ -16,7 +16,7 @@ from regimeplan import (
 from regimeplan import _pool, chain
 from regimeplan.chain import regimes_on_grid
 
-from conftest import all_reaped
+from conftest import all_reaped, recorded_shares
 
 INVALID_GENERATORS = [
     [[1.0, -1.0], [2.0, -2.0]],
@@ -207,6 +207,9 @@ def test_functional_mc_deterministic():
     a = discounted_functional_mc(gen, 0.08, [1.0, 3.0], 1, 60.0, 64, seed=12)
     b = discounted_functional_mc(gen, 0.08, [1.0, 3.0], 1, 60.0, 64, seed=12)
     assert a == b
+    # numpy integers run as the ints they hold
+    assert discounted_functional_mc(gen, 0.08, [1.0, 3.0], np.int8(1), 60.0, np.int64(64),
+                                    seed=np.uint32(12)) == a
 
 
 def test_functional_mc_validation():
@@ -469,19 +472,6 @@ def test_walk_less_call_builds_no_jump_tables(monkeypatch):
     assert calls == []
 
 
-def recorded_shares(monkeypatch):
-    """The (lo, hi) path ranges of each _pool.run call the chain makes."""
-    calls = []
-    run = _pool.run
-
-    def recording(module, name, shares):
-        calls.append([args[-2:] for args in shares])
-        return run(module, name, shares)
-
-    monkeypatch.setattr(_pool, "run", recording)
-    return calls
-
-
 def test_functional_mc_worker_counts_bitwise_equal(monkeypatch, started):
     # a 3-state chain (top rate 2) with 25 paths at horizon 60: a path
     # expects 120 + _PATH_JUMPS = 376 jumps, so with _SHARE_JUMPS = 8 x 376
@@ -562,6 +552,20 @@ def test_functional_mc_refusals_precede_workers(monkeypatch, started):
         discounted_functional_mc(gen, 0.1, g, 1, 10.0, 1, seed=0)
     with pytest.raises(ValueError, match="budget"):  # 16 B of values a path
         discounted_functional_mc(gen, 0.1, g, 1, 10.0, 2**28, seed=0)
+    # 40 000 paths would start a worker before a share met the bad seed
+    for bad, match in (({"seed": -1}, "seed must be nonnegative"),
+                       ({"seed": 2.5}, "seed must be an integer"),
+                       ({"seed": True}, "seed must be an integer"),
+                       ({"n_paths": 4.0}, "n_paths must be an integer"),
+                       ({"n_paths": True}, "n_paths must be an integer"),
+                       ({"i0": 1.5}, "i0 must be an integer"),
+                       ({"i0": True}, "i0 must be an integer")):
+        with pytest.raises(ValueError, match=match):
+            discounted_functional_mc(gen, 0.1, g, **{**dict(i0=1, horizon=10.0,
+                                                            n_paths=40_000, seed=0), **bad})
+    for i0 in (1.5, True, np.float64(1.0)):
+        with pytest.raises(ValueError, match="i0 must be an integer"):
+            simulate_chain(gen, i0, 10.0, seed=0)
     assert started == []
 
 

@@ -84,6 +84,25 @@ def test_only_chain_walks():
     assert sorted(users) == ["regimeplan.chain"]
 
 
+def test_only_pool_cuts_shares():
+    # how many shares a run takes, and who gets the head start, is _pool's alone
+    users = set()
+    for name in MODULES:
+        tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                found = [node.id]
+            elif isinstance(node, ast.Attribute):
+                found = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                found = [alias.name for alias in node.names]
+            else:
+                continue
+            if {"_workers", "idle"} & set(found):
+                users.add(name)
+    assert sorted(users) == ["regimeplan._pool"]
+
+
 def test_only_pool_imports_subprocess():
     # worker processes start, and are reaped, in one place
     importers = []

@@ -137,6 +137,10 @@ def test_bitwise_determinism(p_bench, sol_bench):
         assert np.array_equal(pa.regime, pb.regime)
         assert np.array_equal(pa.disc_cost, pb.disc_cost)
     assert mc_cost(p_bench, sol_bench, cfg) == mc_cost(p_bench, sol_bench, cfg)
+    # numpy integers run as the ints they hold
+    same = SimConfig(dt=0.05, horizon=5.0, n_paths=np.int64(6), seed=np.uint32(99), x0=0.0,
+                     i0=np.int8(1))
+    assert mc_cost(p_bench, sol_bench, same) == mc_cost(p_bench, sol_bench, cfg)
 
 
 def test_path_k_independent_of_batch_size(p_bench, sol_bench):
@@ -225,13 +229,15 @@ def test_worker_counts_with_narrow_blocks(p_bench, monkeypatch, started):
     monkeypatch.setattr(sde, "_jump_events", spy)
     monkeypatch.setattr(_pool, "_cpus", lambda: 3)  # keeps two idle workers
     ests = []
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 3):
         monkeypatch.setattr(_pool, "_workers", lambda work, cold, warm, k=k: k)
         ests.append(mc_cost(fast, sol, cfg))
-    assert ests[0] == ests[1] == ests[2]
-    # the parent's own shares: all three blocks, then 524 and 349 paths
-    assert widths == [524, 524, 1, 524, 349]
-    # the 2-share run starts a worker, the 3-share run reuses it and starts one
+    assert ests == ests[:1] * 4
+    # the parent's own shares: all three blocks; while a worker starts, all
+    # but one path a worker (1048 and 1047 paths); with both workers warm,
+    # an even third (349 paths)
+    assert widths == [524, 524, 1, 524, 524, 524, 523, 349]
+    # the 2-share run starts a worker, the 3-share runs reuse it and start one
     assert len(started) == 2 and _pool.idle() == 2
     _pool.close()
     assert all_reaped(started)
@@ -262,6 +268,11 @@ def test_small_runs_stay_in_process(p_bench, sol_bench, started):
 def test_refusals_precede_workers(p_bench, sol_bench, monkeypatch, started):
     monkeypatch.setattr(sde, "_BLOCK", 4)
     monkeypatch.setattr(_pool, "_workers", lambda work, cold, warm: 2)
+    for bad in ({"i0": 1.5}, {"i0": True}, {"n_paths": 4.0}, {"n_paths": True},
+                {"seed": 1.5}, {"seed": np.float64(2.0)}, {"seed": False}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SimConfig(**{**dict(dt=0.1, horizon=10.0, n_paths=8, seed=0, x0=0.0, i0=1),
+                         **bad})
     cfg = SimConfig(dt=0.1, horizon=10.0, n_paths=8, seed=0, x0=0.0, i0=3)
     with pytest.raises(ValueError, match="i0 must be in 1..2"):
         mc_cost(p_bench, sol_bench, cfg)
@@ -272,8 +283,13 @@ def test_refusals_precede_workers(p_bench, sol_bench, monkeypatch, started):
     cfg = SimConfig(dt=0.1, horizon=200.0, n_paths=100_000, seed=0, x0=0.0, i0=1)
     with pytest.raises(ValueError, match="budget"):
         asymptotic_decay(p_bench, sol_bench, cfg, cfg.times()[1:])
-    # 16 B a path of costs, a share's and the gathered copy, with no node kept
+    # 32 B a path of costs and tails, a share's and the gathered copy, with
+    # no node kept
     cfg = SimConfig(dt=1.0, horizon=1.0, n_paths=2**28, seed=0, x0=0.0, i0=1)
+    with pytest.raises(ValueError, match="budget"):
+        mc_cost(p_bench, sol_bench, cfg)
+    monkeypatch.setattr(chain, "_KEEP_BUDGET", 32 * 8 - 1)
+    cfg = SimConfig(dt=1.0, horizon=1.0, n_paths=8, seed=0, x0=0.0, i0=1)
     with pytest.raises(ValueError, match="budget"):
         mc_cost(p_bench, sol_bench, cfg)
     assert started == []
@@ -506,7 +522,7 @@ def test_block_working_set_stays_bounded():
     events = sde._jump_events(p, cfg, 0, 2048)[0].size
     tracemalloc.start()
     try:
-        sde._share(p, tables, None, cfg, 0, 2048, 2048, sde._CHUNK, ())
+        sde._share(p, tables, None, cfg, 2048, sde._CHUNK, (), 0, 2048)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -522,8 +538,8 @@ def test_kept_paths_share_estimate_arithmetic(p_bench, sol_bench):
     ((_, decay, _),) = asymptotic_decay(p_bench, sol_bench, cfg, (cfg.horizon,))
     assert math.exp(-p_bench.r * cfg.n_steps * cfg.dt) * float(np.mean(x_end ** 2)) == decay
     kept = np.array([cp.disc_cost[-1] for cp in paths])
-    assert np.array_equal(kept, sde._run(p_bench, policy_coefficients(sol_bench, p_bench),
-                                         cfg).costs)
+    costs = sde._run(p_bench, policy_coefficients(sol_bench, p_bench), cfg)[0]
+    assert np.array_equal(kept, costs)
     assert float(np.mean(kept)) == mc_cost(p_bench, sol_bench, cfg).mean
 
 
