@@ -303,9 +303,17 @@ def _walks(gen: Generator, i0: int, horizon: float, streams):
 def simulate_chain(gen: Generator, i0: int, horizon: float, seed) -> RegimePath:
     """Simulate one statistically exact chain path.
 
-    seed is an int or a sequence of ints, as numpy's default_rng takes it.
+    seed is an int >= 0 or a non-empty sequence of them, as numpy's
+    default_rng takes it; anything else, a bool included, raises ValueError.
     Deterministic given (gen, i0, horizon, seed), i0 1-based; ValueError as _walks.
     """
+    parts = list(seed) if isinstance(seed, (list, tuple, np.ndarray)) else [seed]
+    if not parts:
+        raise ValueError("seed must not be empty")
+    for s in parts:
+        _require_int("seed", s)
+        if s < 0:
+            raise ValueError("seed must be nonnegative")
     ((_, jt, st),) = _walks(gen, i0, horizon, [seed])
     m = gen.m
     counts = np.bincount(st[:-1] * m + st[1:], minlength=m * m).reshape(m, m)

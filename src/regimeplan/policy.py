@@ -42,8 +42,10 @@ class PolicyCoefficients:
     """Per-regime affine coefficients of the feedback law u = slope x + intercept.
 
     Calling it evaluates the law as a policy (x, i, t) -> u with 1-based
-    regimes i in 1..m; the Monte Carlo engine recognises the type and folds
-    the law into per-regime tables instead of calling it at every step.
+    regimes i in 1..m, as simulate_controlled does to derive u on its kept
+    paths.  The Monte Carlo engine takes only this type (or the solution it
+    is derived from) and folds the law into per-regime tables instead of
+    calling it at every step.
     """
 
     slope: np.ndarray

@@ -16,16 +16,13 @@ is accumulated by the trapezoidal rule, matching the scheme's order, with
 the trapezoid and the discount folded into node weights dt e^{-r t_k},
 halved at both ends.
 
-Every policy runs through per-regime tables: the step is
-x <- A_i x + B_i + sigma_i dW and the integrand alpha_i (x - xstar_i)^2 +
-gamma_i.  Affine laws u = s_i x + k_i (PolicyCoefficients, which the optimal
-feedback and shifted_policy are) fold into constant tables with alpha_i,
-gamma_i >= 0, so no policy is called per step.  Any other callable policy
-has A = 1, xstar = c and alpha = N/2, and is evaluated at every grid node to
-refill B = (u - theta) dt and gamma = 1/2 (u - h)^2 R; halving is exact, so
-this is the plain Euler arithmetic bit for bit.  Each path keeps its current
-table entries and changes them only at its regime jumps, so there is no
-per-step regime lookup either.
+The engine takes affine laws u = s_i x + k_i only (PolicyCoefficients, which
+the optimal feedback and shifted_policy are).  Each folds into constant
+per-regime tables: the step is x <- A_i x + B_i + sigma_i dW and the
+integrand alpha_i (x - xstar_i)^2 + gamma_i with alpha_i, gamma_i >= 0, so
+no policy is called per step.  Each path keeps its current table entries and
+changes them only at its regime jumps, so there is no per-step regime lookup
+either.
 
 Every path owns fixed random streams keyed by (seed, path index), with the
 regime path drawn from one substream and the normals from another.  Paths
@@ -49,10 +46,9 @@ simulate_controlled lists every node and derives u through the law, so kept
 paths take the same step and the same quadrature as the estimates.  Every per-path operation is
 elementwise and runs in grid order, and all reductions run over arrays in
 global path order, so a given SimConfig produces bit-identical results
-whatever the block, chunk and share sizes.  An affine run's paths go to
-worker processes in shares (_pool.map_paths, at _SHARE_WORK or _WARM_WORK
-path-steps a share); a callable policy runs in process, since it may not
-pickle and is called per node anyway.
+whatever the block, chunk and share sizes.  A run's paths go to worker
+processes in shares (_pool.map_paths, at _SHARE_WORK or _WARM_WORK
+path-steps a share).
 """
 
 import math
@@ -181,11 +177,14 @@ def _affine_tables(p: ModelParams, coeffs: PolicyCoefficients, dt: float) -> np.
     B = (k - theta) dt, and the running cost 1/2 [N (x - c)^2 + R (u - h)^2]
     becomes alpha (x - xstar)^2 + gamma with alpha = 1/2 (N + R s^2) and
     gamma = 1/2 N R (s c + k - h)^2 / (N + R s^2), both nonnegative.  Where
-    N + R s^2 = 0 the cost does not depend on x.
+    N + R s^2 = 0 the cost does not depend on x.  Every law enters the engine
+    here, so ValueError for coefficients of the wrong length or not finite.
     """
     s, k = coeffs.slope, coeffs.intercept
     if s.shape != (p.m,) or k.shape != (p.m,):
         raise ValueError(f"policy coefficients must have length m={p.m}")
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(k))):
+        raise ValueError("policy coefficients must be finite")
     curv = p.N + p.R * s * s
     flat = curv == 0.0
     den = np.where(flat, 1.0, curv)
@@ -246,32 +245,21 @@ def _require_finite(costs: np.ndarray) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> tuple:
+def _run(p: ModelParams, coeffs: PolicyCoefficients, cfg: SimConfig, record=()) -> tuple:
     """Drive all paths through the Euler scheme in shares, path blocks and time chunks.
 
-    policy is a PolicyCoefficients (folded tables, no call per step) or any
-    callable (x, i, t) -> u, called once per grid node with the array of
-    states, the matching array of 1-based regimes and the scalar time, and
-    returning something that broadcasts to the states' shape; its u refills
-    the B and gamma rows, from the theta, h and R rows carried after them.
-    Both kinds share one node body, and this returns _share's results over
-    all paths.  Raises ValueError, before any walk or worker, for a record
-    and per-path costs and tails (2 x chain._VALUE_BYTES a path) over
-    chain._KEEP_BUDGET bytes, a start regime outside 1..m or a path the
-    chain walk's budget refuses, and after all shares for a non-finite cost.
+    coeffs is the affine law, folded into _affine_tables' rows; this returns
+    _share's results over all paths.  Raises ValueError before any walk or
+    worker as _affine_tables does, and for a record and per-path costs and
+    tails (2 x chain._VALUE_BYTES a path) over chain._KEEP_BUDGET bytes, a
+    start regime outside 1..m or a path the chain walk's budget refuses; and
+    after all shares for a non-finite cost.
     """
     if not p.r > 0:
         raise ValueError("r not positive")
     n_paths = cfg.n_paths
     n = cfg.n_steps
-    affine = isinstance(policy, PolicyCoefficients)
-    if affine:
-        tables = _affine_tables(p, policy, cfg.dt)
-        policy = None
-    else:  # rows A..gamma, then theta, h, R; B and gamma are refilled from u
-        one, zero = np.ones(p.m), np.zeros(p.m)
-        tables = np.array([one, zero, p.sigma, p.c, 0.5 * p.N, zero,
-                           p.theta, p.h, p.R])
+    tables = _affine_tables(p, coeffs, cfg.dt)
     kept = n_paths * (len(record) * _KEPT_PER_NODE + 2 * chain._VALUE_BYTES)
     if kept > chain._KEEP_BUDGET:
         raise ValueError(f"simulation would retain {kept / 2**30:.3g} GiB of paths, over the "
@@ -279,24 +267,22 @@ def _run(p: ModelParams, policy, cfg: SimConfig, record=()) -> tuple:
     chain._walks(p.gen, cfg.i0, n * cfg.dt, ())  # its checks, before any walk or worker
     jumps = n * cfg.dt * float(np.max(-np.diag(p.gen.q)))
     width = min(_BLOCK, n_paths, max(1, int(chain._BLOCK_JUMPS / max(jumps, 1.0))))
-    args = (p, tables, policy, cfg, width, _CHUNK, record)
-    out = (_pool.map_paths(__name__, "_share", args, n_paths, n, _SHARE_WORK, _WARM_WORK)
-           if affine else _share(*args, 0, n_paths))
+    args = (p, tables, cfg, width, _CHUNK, record)
+    out = _pool.map_paths(__name__, "_share", args, n_paths, n, _SHARE_WORK, _WARM_WORK)
     _require_finite(out[0])
     return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _share(p: ModelParams, tables: np.ndarray, policy, cfg: SimConfig, width: int,
-           chunk: int, record, lo: int, hi: int):
+def _share(p: ModelParams, tables: np.ndarray, cfg: SimConfig, width: int, chunk: int,
+           record, lo: int, hi: int):
     """Paths lo..hi-1 in blocks of `width` paths and chunks of `chunk` nodes.
 
-    tables are _run's per-regime rows; policy is None for affine tables, else
-    the callable whose u refills them at every node.  Returns the paths'
-    costs, their largest undiscounted integrand over the last quarter of the
-    grid, and (len(record), hi - lo) matrices of their states, 0-based
-    regimes and running trapezoid costs (0 at node 0) at the distinct record
-    nodes, in record's order.
+    tables are _affine_tables' per-regime rows.  Returns the paths' costs,
+    their largest undiscounted integrand over the last quarter of the grid,
+    and (len(record), hi - lo) matrices of their states, 0-based regimes and
+    running trapezoid costs (0 at node 0) at the distinct record nodes, in
+    record's order.
     """
     n_paths = hi - lo
     n = cfg.n_steps
@@ -321,7 +307,7 @@ def _share(p: ModelParams, tables: np.ndarray, policy, cfg: SimConfig, width: in
         normals = [np.random.default_rng([cfg.seed, k, 1]) for k in range(lo + b0, lo + b1)]
         reg = np.full(nb, i0, dtype=np.intp)
         cur = np.repeat(tables[:, i0:i0 + 1], nb, axis=1)  # table rows per path
-        a_, b_, sig, xstar, alpha, gamma, *by_u = cur
+        a_, b_, sig, xstar, alpha, gamma = cur
         x = np.full(nb, float(cfg.x0))
         cost = np.zeros(nb)
         tail = np.zeros(nb)
@@ -349,15 +335,6 @@ def _share(p: ModelParams, tables: np.ndarray, policy, cfg: SimConfig, width: in
                     cols, new = ch_path[e0:e1], ch_state[e0:e1]
                     reg[cols] = new
                     cur[:, cols] = tables[:, new]
-                if policy is not None:
-                    u = np.asarray(policy(x, reg + 1, node * dt), dtype=float)
-                    th_, h_, r_ = by_u
-                    np.subtract(u, th_, out=b_)
-                    np.multiply(b_, dt, out=b_)
-                    np.subtract(u, h_, out=gamma)
-                    np.multiply(gamma, gamma, out=gamma)
-                    np.multiply(gamma, r_, out=gamma)
-                    np.multiply(gamma, 0.5, out=gamma)
                 np.subtract(x, xstar, out=f)
                 np.multiply(f, f, out=f)
                 np.multiply(f, alpha, out=f)
@@ -423,22 +400,26 @@ def simulate_controlled(p: ModelParams, sol: RiccatiSolution,
 def mc_cost(p: ModelParams, sol_or_policy, cfg: SimConfig) -> MCEstimate:
     """Mean and standard error of the discounted cost truncated at the horizon.
 
-    sol_or_policy is either a RiccatiSolution (optimal feedback) or a callable
-    policy (x, i, t) -> u for domination experiments; a PolicyCoefficients
-    (such as shifted_policy returns) takes the folded affine fast path.  truncation_bound is
-    e^{-rT} * C_tail / r with C_tail the largest undiscounted integrand value
-    observed over the final quarter of the horizon across all paths: a crude
-    plug-in estimate of the post-T conditional expectation supremum, reported
-    so comparisons against analytic values can budget for the discarded tail.
-    It is an empirical estimate, not a proven bound.  Raises ValueError if a
+    sol_or_policy is either a RiccatiSolution (optimal feedback) or an affine
+    law, a PolicyCoefficients such as shifted_policy returns for domination
+    experiments; anything else raises ValueError before any walk or worker.
+    truncation_bound is e^{-rT} * C_tail / r with C_tail the largest
+    undiscounted integrand value observed over the final quarter of the
+    horizon across all paths: a crude plug-in estimate of the post-T
+    conditional expectation supremum, reported so comparisons against
+    analytic values can budget for the discarded tail.  It is an empirical
+    estimate, not a proven bound.  Raises ValueError as _run does, and if a
     path's cost or the statistics overflow.
     """
     if cfg.n_paths < 2:
         raise ValueError("mc_cost needs n_paths >= 2")
-    policy = sol_or_policy
-    if not callable(policy):
-        policy = policy_coefficients(policy, p)
-    costs, tails, *_ = _run(p, policy, cfg)
+    law = sol_or_policy
+    if isinstance(law, RiccatiSolution):
+        law = policy_coefficients(law, p)
+    elif not isinstance(law, PolicyCoefficients):
+        raise ValueError("mc_cost takes a RiccatiSolution or a PolicyCoefficients, "
+                         f"not {type(law).__name__}")
+    costs, tails, *_ = _run(p, law, cfg)
     mean, se = chain._mean_se(costs)
     t_end = cfg.n_steps * cfg.dt
     bound = math.exp(-p.r * t_end) * float(tails.max()) / p.r

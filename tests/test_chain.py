@@ -68,6 +68,20 @@ def test_input_validation():
             Generator(bad)
 
 
+def test_simulate_chain_seed_validation():
+    gen = Generator.two_state_symmetric(1.0)
+    for bad, match in ((True, "be an integer"), (1.5, "be an integer"), ("7", "be an integer"),
+                       (-1, "be nonnegative"), ([3, 2.5], "be an integer"), ([], "not be empty")):
+        with pytest.raises(ValueError, match=f"seed must {match}"):
+            simulate_chain(gen, 1, 10.0, seed=bad)
+    # a [seed, k] key, as the benchmark passes, walks as the scalar oracle does
+    for seed in ([23, 4], (23, 4), np.array([23, 4]), 23, np.int64(23)):
+        path = simulate_chain(gen, 2, 30.0, seed=seed)
+        _, jt, st = oracle_walk(gen, 2, 30.0, [seed])
+        assert np.array_equal(path.jump_times, jt)
+        assert np.array_equal(path.states, st + 1)
+
+
 def test_jump_counts_tally_transitions():
     gen = Generator([[-1.5, 1.0, 0.5], [0.3, -0.8, 0.5], [1.2, 0.8, -2.0]])
     path = simulate_chain(gen, 3, 200.0, seed=9)

@@ -22,7 +22,7 @@ def test_gathered_results_are_bitwise_equal_over_share_counts(monkeypatch, start
     p = benchmark_params()
     cfg = SimConfig(dt=0.1, horizon=10.0, n_paths=11, seed=6, x0=1.0, i0=2)
     tables = sde._affine_tables(p, policy_coefficients(solve(p), p), cfg.dt)
-    euler = (p, tables, None, cfg, 4, sde._CHUNK, (0, 3, 50, 100))
+    euler = (p, tables, cfg, 4, sde._CHUNK, (0, 3, 50, 100))
     cases = [("regimeplan.sde", "_share", euler), ("regimeplan.chain", "_functional_share",
                                                    functional_args())]
     monkeypatch.setattr(_pool, "_cpus", lambda: 3)  # keeps two idle workers

@@ -120,11 +120,10 @@ def test_zero_weights_zero_cost():
                     h=[5.0, 4.0], N=[0.0, 0.0], R=[0.0, 0.0])
     cfg = SimConfig(dt=0.05, horizon=5.0, n_paths=4, seed=3, x0=0.0, i0=1)
     zero = np.zeros(2)
-    for policy in (lambda x, i, t: np.zeros_like(x), PolicyCoefficients(zero, zero)):
-        est = mc_cost(p, policy, cfg)
-        assert est.mean == 0.0
-        assert est.std_error == 0.0
-        assert est.truncation_bound == 0.0
+    est = mc_cost(p, PolicyCoefficients(zero, zero), cfg)
+    assert est.mean == 0.0
+    assert est.std_error == 0.0
+    assert est.truncation_bound == 0.0
 
 
 def test_bitwise_determinism(p_bench, sol_bench):
@@ -241,20 +240,6 @@ def test_worker_counts_with_narrow_blocks(p_bench, monkeypatch, started):
     assert len(started) == 2 and _pool.idle() == 2
     _pool.close()
     assert all_reaped(started)
-
-
-def test_callable_policy_runs_in_process(p_bench, sol_bench, monkeypatch, started):
-    coeffs = policy_coefficients(sol_bench, p_bench)
-
-    def plain(x, i, t):
-        idx = np.asarray(i) - 1
-        return coeffs.slope[idx] * x + coeffs.intercept[idx]
-
-    cfg = SimConfig(dt=0.05, horizon=5.0, n_paths=12, seed=2, x0=0.0, i0=1)
-    monkeypatch.setattr(sde, "_BLOCK", 4)
-    monkeypatch.setattr(_pool, "_workers", lambda work, cold, warm: 3)
-    assert mc_cost(p_bench, plain, cfg).n == 12
-    assert started == []
 
 
 def test_small_runs_stay_in_process(p_bench, sol_bench, started):
@@ -522,7 +507,7 @@ def test_block_working_set_stays_bounded():
     events = sde._jump_events(p, cfg, 0, 2048)[0].size
     tracemalloc.start()
     try:
-        sde._share(p, tables, None, cfg, 2048, sde._CHUNK, (), 0, 2048)
+        sde._share(p, tables, cfg, 2048, sde._CHUNK, (), 0, 2048)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -557,22 +542,45 @@ def test_kept_cost_matches_explicit_trapezoid(p_bench, sol_bench):
             np.testing.assert_allclose(cp.disc_cost, trap, rtol=1e-12, atol=0.0)
 
 
-def test_shifted_policy_fast_path_matches_callable(p_bench, sol_bench):
-    cfg = SimConfig(dt=0.05, horizon=20.0, n_paths=50, seed=8, x0=0.0, i0=1)
-    shifted = shifted_policy(sol_bench, p_bench, 0.5)
-    coeffs = policy_coefficients(sol_bench, p_bench)
+def plain_euler_costs(p, law, cfg):
+    """Per-path costs and tails of the unfolded Euler scheme: the folded tables' oracle.
 
-    def plain(x, i, t):
-        idx = np.asarray(i) - 1
-        return coeffs.slope[idx] * x + coeffs.intercept[idx] + 0.5
+    Path k's regimes are its [seed, k, 0] walk sampled at the grid nodes and
+    its increments sqrt(dt) times its [seed, k, 1] normals; each step is
+    x += (s x + k - theta) dt + sigma sqrt(dt) z, and the cost the trapezoid
+    of e^{-rt} 1/2 [N (x - c)^2 + R (u - h)^2].  The tail is the largest
+    undiscounted integrand over the last quarter of the grid.
+    """
+    n, dt = cfg.n_steps, cfg.dt
+    times = cfg.times()
+    regs = np.empty((n + 1, cfg.n_paths), dtype=np.intp)
+    for path, t, state in chain._walks(p.gen, cfg.i0, n * dt,
+                                       ([cfg.seed, k, 0] for k in range(cfg.n_paths))):
+        for k in np.unique(path):
+            regs[:, k] = regimes_on_grid(t[path == k], state[path == k], times)
+    z = np.array([np.random.default_rng([cfg.seed, k, 1]).standard_normal(n)
+                  for k in range(cfg.n_paths)]).T
+    x = np.full(cfg.n_paths, cfg.x0)
+    g = np.empty((n + 1, cfg.n_paths))
+    for node, i in enumerate(regs):
+        u = law.slope[i] * x + law.intercept[i]
+        g[node] = 0.5 * (p.N[i] * (x - p.c[i]) ** 2 + p.R[i] * (u - p.h[i]) ** 2)
+        if node < n:
+            x = x + (u - p.theta[i]) * dt + p.sigma[i] * math.sqrt(dt) * z[node]
+    tails = g[(3 * n) // 4:].max(axis=0)
+    g *= np.exp(-p.r * times)[:, None]
+    return 0.5 * dt * (g[1:] + g[:-1]).sum(axis=0), tails
 
-    xs, regs = np.linspace(-3.0, 3.0, 4), np.array([1, 2, 2, 1])
-    np.testing.assert_allclose(shifted(xs, regs, 0.0), plain(xs, regs, 0.0), rtol=1e-14)
-    a = mc_cost(p_bench, shifted, cfg)
-    b = mc_cost(p_bench, plain, cfg)
-    assert a.mean == pytest.approx(b.mean, rel=1e-12)
-    assert a.std_error == pytest.approx(b.std_error, rel=1e-12)
-    assert a.truncation_bound == pytest.approx(b.truncation_bound, rel=1e-12)
+
+def test_folded_tables_match_plain_euler_loop(p_bench, sol_bench):
+    fast = p_bench.replace(gen=Generator.two_state_symmetric(5.0))
+    cfg = SimConfig(dt=0.05, horizon=20.0, n_paths=16, seed=8, x0=-2.0, i0=2)
+    for p, sol in ((p_bench, sol_bench), (fast, solve(fast))):
+        for law in (policy_coefficients(sol, p), shifted_policy(sol, p, 0.5)):
+            costs, tails, *_ = sde._run(p, law, cfg)
+            want_costs, want_tails = plain_euler_costs(p, law, cfg)
+            np.testing.assert_allclose(costs, want_costs, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(tails, want_tails, rtol=1e-12, atol=0.0)
 
 
 def test_simulate_refuses_retention_over_budget(p_bench, sol_bench):
@@ -621,6 +629,39 @@ def test_mc_rejects_coefficients_of_wrong_length(p_bench):
     three = np.zeros(3)
     with pytest.raises(ValueError, match="length m=2"):
         mc_cost(p_bench, PolicyCoefficients(three, three), cfg)
+
+
+def test_mc_takes_finite_affine_laws_only(p_bench, sol_bench, monkeypatch, started):
+    walks = []
+    monkeypatch.setattr(chain, "_walks", lambda *args: walks.append(args))
+    monkeypatch.setattr(_pool, "_workers", lambda work, cold, warm: 2)
+    cfg = SimConfig(dt=0.1, horizon=10.0, n_paths=8, seed=0, x0=0.0, i0=1)
+    law = policy_coefficients(sol_bench, p_bench)
+    with pytest.raises(ValueError, match="RiccatiSolution or a PolicyCoefficients"):
+        mc_cost(p_bench, lambda x, i, t: x, cfg)
+    nan_slope = PolicyCoefficients(np.array([math.nan, law.slope[1]]), law.intercept)
+    inf_intercept = PolicyCoefficients(law.slope, np.array([law.intercept[0], math.inf]))
+    for bad in (nan_slope, inf_intercept, shifted_policy(sol_bench, p_bench, math.inf)):
+        with pytest.raises(ValueError, match="policy coefficients must be finite"):
+            mc_cost(p_bench, bad, cfg)
+    assert walks == [] and started == []
+
+
+def test_optimality_gap_matches_closed_form(p_bench, sol_bench):
+    # u* + delta costs (1/2) E int e^{-rt} R(a_t) delta^2 dt more than u*, which
+    # is 1/2 [(rI - Q)^{-1} R delta^2](i0); both laws share the chain and the
+    # normals, so the paired difference has a small SE
+    law = policy_coefficients(sol_bench, p_bench)
+    unit = chain.discounted_resolvent(p_bench.gen, p_bench.r, 0.5 * p_bench.R)[0]
+    assert unit == pytest.approx(4.5122, abs=1e-4)
+    cfgs = [SimConfig(dt=dt, horizon=200.0, n_paths=2000, seed=31, x0=0.0, i0=1)
+            for dt in (0.02, 0.04)]
+    optimal = [sde._run(p_bench, law, cfg)[0] for cfg in cfgs]
+    for delta in (0.05, 0.5):
+        shifted = shifted_policy(sol_bench, p_bench, delta)
+        (gap, se), (coarse, _) = (chain._mean_se(sde._run(p_bench, shifted, cfg)[0] - opt)
+                                  for cfg, opt in zip(cfgs, optimal))
+        assert abs(gap - unit * delta ** 2) <= 3.0 * se + abs(gap - coarse)
 
 
 def test_mc_matches_analytic_value(p_bench, sol_bench):
@@ -723,21 +764,6 @@ def test_adjoint_residual_validation(p_bench, sol_bench):
         adjoint_residual(p_bench, sol_bench, [])
     with pytest.raises(ValueError, match="regime index"):
         adjoint_residual(p_bench, sol_bench, [(0.0, 3)])
-
-
-def test_user_policy_callable(p_bench, sol_bench):
-    # a callable policy reproducing the feedback law must give identical paths
-    coeffs = policy_coefficients(sol_bench, p_bench)
-
-    def mimic(x, i, t):
-        idx = np.asarray(i) - 1
-        return coeffs.slope[idx] * x + coeffs.intercept[idx]
-
-    cfg = SimConfig(dt=0.05, horizon=10.0, n_paths=4, seed=11, x0=0.0, i0=1)
-    a = mc_cost(p_bench, sol_bench, cfg)
-    b = mc_cost(p_bench, mimic, cfg)
-    assert a.mean == pytest.approx(b.mean, abs=1e-12)
-    assert a.std_error == pytest.approx(b.std_error, abs=1e-12)
 
 
 def test_overflowing_cost_raises(p_bench, sol_bench):
