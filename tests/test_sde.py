@@ -542,12 +542,13 @@ def test_kept_cost_matches_explicit_trapezoid(p_bench, sol_bench):
             np.testing.assert_allclose(cp.disc_cost, trap, rtol=1e-12, atol=0.0)
 
 
-def plain_euler_costs(p, law, cfg):
+def plain_euler_costs(p, policy, cfg):
     """Per-path costs and tails of the unfolded Euler scheme: the folded tables' oracle.
 
-    Path k's regimes are its [seed, k, 0] walk sampled at the grid nodes and
-    its increments sqrt(dt) times its [seed, k, 1] normals; each step is
-    x += (s x + k - theta) dt + sigma sqrt(dt) z, and the cost the trapezoid
+    policy is called as policy(x, i, t) on all paths at each node, with
+    1-based regimes i.  Path k's regimes are its [seed, k, 0] walk sampled at
+    the grid nodes and its increments sqrt(dt) times its [seed, k, 1] normals;
+    each step is x += (u - theta) dt + sigma sqrt(dt) z, and the cost the trapezoid
     of e^{-rt} 1/2 [N (x - c)^2 + R (u - h)^2].  The tail is the largest
     undiscounted integrand over the last quarter of the grid.
     """
@@ -563,7 +564,7 @@ def plain_euler_costs(p, law, cfg):
     x = np.full(cfg.n_paths, cfg.x0)
     g = np.empty((n + 1, cfg.n_paths))
     for node, i in enumerate(regs):
-        u = law.slope[i] * x + law.intercept[i]
+        u = policy(x, i + 1, times[node])
         g[node] = 0.5 * (p.N[i] * (x - p.c[i]) ** 2 + p.R[i] * (u - p.h[i]) ** 2)
         if node < n:
             x = x + (u - p.theta[i]) * dt + p.sigma[i] * math.sqrt(dt) * z[node]
@@ -581,6 +582,47 @@ def test_folded_tables_match_plain_euler_loop(p_bench, sol_bench):
             want_costs, want_tails = plain_euler_costs(p, law, cfg)
             np.testing.assert_allclose(costs, want_costs, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(tails, want_tails, rtol=1e-12, atol=0.0)
+
+
+def plain_euler_estimate(p, policy, cfg):
+    """Mean, standard error and truncation bound of plain_euler_costs."""
+    costs, tails = plain_euler_costs(p, policy, cfg)
+    t_end = cfg.n_steps * cfg.dt
+    return (costs.mean(), costs.std(ddof=1) / math.sqrt(costs.size),
+            math.exp(-p.r * t_end) * tails.max() / p.r)
+
+
+def test_shifted_policy_fast_path_matches_callable(p_bench, sol_bench):
+    cfg = SimConfig(dt=0.05, horizon=20.0, n_paths=50, seed=8, x0=0.0, i0=1)
+    shifted = shifted_policy(sol_bench, p_bench, 0.5)
+    coeffs = policy_coefficients(sol_bench, p_bench)
+
+    def plain(x, i, t):
+        idx = np.asarray(i) - 1
+        return coeffs.slope[idx] * x + coeffs.intercept[idx] + 0.5
+
+    xs, regs = np.linspace(-3.0, 3.0, 4), np.array([1, 2, 2, 1])
+    np.testing.assert_allclose(shifted(xs, regs, 0.0), plain(xs, regs, 0.0), rtol=1e-14)
+    a = mc_cost(p_bench, shifted, cfg)
+    mean, se, bound = plain_euler_estimate(p_bench, plain, cfg)
+    assert a.mean == pytest.approx(mean, rel=1e-12)
+    assert a.std_error == pytest.approx(se, rel=1e-12)
+    assert a.truncation_bound == pytest.approx(bound, rel=1e-12)
+
+
+def test_user_policy_callable(p_bench, sol_bench):
+    # a callable policy reproducing the feedback law must give identical paths
+    coeffs = policy_coefficients(sol_bench, p_bench)
+
+    def mimic(x, i, t):
+        idx = np.asarray(i) - 1
+        return coeffs.slope[idx] * x + coeffs.intercept[idx]
+
+    cfg = SimConfig(dt=0.05, horizon=10.0, n_paths=4, seed=11, x0=0.0, i0=1)
+    a = mc_cost(p_bench, sol_bench, cfg)
+    mean, se, _ = plain_euler_estimate(p_bench, mimic, cfg)
+    assert a.mean == pytest.approx(mean, abs=1e-12)
+    assert a.std_error == pytest.approx(se, abs=1e-12)
 
 
 def test_simulate_refuses_retention_over_budget(p_bench, sol_bench):
