@@ -29,7 +29,7 @@ regime path drawn from one substream and the normals from another.  Paths
 run in blocks of _BLOCK and time in chunks of _CHUNK grid nodes.  As the
 chain walk yields a block's paths, their jumps are cut to events: each
 path's last jump before a grid node, at the first node at or after it, in
-the narrowest integer dtypes the node count, block width and m allow (5
+the narrowest unsigned dtypes the node count, block width and m allow (5
 bytes an event on the benchmark, about three times that while they are
 sorted by node).  The normals are drawn _CHUNK at a time per path (equal,
 bit for bit, to one full draw), 64 paths at a time, and turned time-major.
@@ -178,7 +178,8 @@ def _affine_tables(p: ModelParams, coeffs: PolicyCoefficients, dt: float) -> np.
     becomes alpha (x - xstar)^2 + gamma with alpha = 1/2 (N + R s^2) and
     gamma = 1/2 N R (s c + k - h)^2 / (N + R s^2), both nonnegative.  Where
     N + R s^2 = 0 the cost does not depend on x.  Every law enters the engine
-    here, so ValueError for coefficients of the wrong length or not finite.
+    here, so ValueError for coefficients of the wrong length or not finite,
+    and for a law whose rows are not finite (N + R s^2 or gamma overflows).
     """
     s, k = coeffs.slope, coeffs.intercept
     if s.shape != (p.m,) or k.shape != (p.m,):
@@ -191,31 +192,26 @@ def _affine_tables(p: ModelParams, coeffs: PolicyCoefficients, dt: float) -> np.
     xstar = np.where(flat, 0.0, (p.N * p.c - p.R * s * (k - p.h)) / den)
     gamma = np.where(flat, 0.5 * (p.N * p.c ** 2 + p.R * (k - p.h) ** 2),
                      0.5 * p.N * p.R * (s * p.c + k - p.h) ** 2 / den)
-    return np.array([1.0 + s * dt, (k - p.theta) * dt, p.sigma, xstar, 0.5 * curv, gamma])
-
-
-def _int_dtype(bound: int):
-    """The narrowest signed integer dtype that holds 0..bound."""
-    for dtype in (np.int8, np.int16, np.int32):
-        if bound <= np.iinfo(dtype).max:
-            return dtype
-    return np.int64
+    tables = np.array([1.0 + s * dt, (k - p.theta) * dt, p.sigma, xstar, 0.5 * curv, gamma])
+    if not np.all(np.isfinite(tables)):
+        raise ValueError("policy coefficients overflow the folded step or cost")
+    return tables
 
 
 def _jump_events(p: ModelParams, cfg: SimConfig, lo: int, hi: int):
     """Regime changes of paths lo..hi-1 on the grid, sorted by node.
 
     Returns (node, path offset, new 0-based state) arrays, each in the
-    narrowest integer dtype its bound allows (n_steps + 1, hi - lo - 1 and
-    m - 1).  A jump at time t takes effect at the first grid node k with
-    k dt >= t, as in chain.regimes_on_grid; when a path jumps more than once
-    before the next node only its last state is kept.  Each block the chain
-    walk yields is cut to these kept events as it arrives, so the paths'
-    whole walk is never held at once; one stable sort then orders them by
-    node, each node's events in path order.
+    narrowest unsigned integer dtype its bound allows (n_steps + 1,
+    hi - lo - 1 and m - 1).  A jump at time t takes effect at the first grid
+    node k with k dt >= t, as in chain.regimes_on_grid; when a path jumps
+    more than once before the next node only its last state is kept.  Each
+    block the chain walk yields is cut to these kept events as it arrives,
+    so the paths' whole walk is never held at once; one stable sort then
+    orders them by node, each node's events in path order.
     """
     n, dt = cfg.n_steps, cfg.dt
-    types = _int_dtype(n + 1), _int_dtype(hi - lo - 1), _int_dtype(p.m - 1)
+    types = [np.min_scalar_type(bound) for bound in (n + 1, hi - lo - 1, p.m - 1)]
     parts = []
     for path, t, state in chain._walks(p.gen, cfg.i0, n * dt,
                                        ([cfg.seed, k, 0] for k in range(lo, hi))):

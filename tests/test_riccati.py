@@ -195,20 +195,25 @@ def clamped_newton(p):
     return (phi, riccati.DEFAULT_MAX_ITER) if norm <= riccati.DEFAULT_TOL else None
 
 
-def test_newton_clamp_never_acts():
-    # convexity puts every full Newton point at or above the solution, so each
-    # damped trial point is already >= 0; m = 1-4, N, R and off-diagonal rates
-    # log-uniform over 1e-6..1e6 with 30% of rates zero, r log-uniform over 1e-3..1
+def newton_draws():
+    """300 draws at seed 22: m = 1-4, N, R and off-diagonal rates log-uniform
+    over 1e-6..1e6 with 30% of rates zero, r log-uniform over 1e-3..1."""
     rng = np.random.default_rng(22)
-    converged = 0
     for _ in range(300):
         m = int(rng.integers(1, 5))
         off = 10.0 ** rng.uniform(-6.0, 6.0, size=(m, m)) * (rng.uniform(size=(m, m)) >= 0.3)
         ones = np.ones(m)
-        p = ModelParams(gen=Generator(off), r=float(10.0 ** rng.uniform(-3.0, 0.0)),
-                        theta=ones, sigma=ones, c=ones, h=ones,
-                        N=10.0 ** rng.uniform(-6.0, 6.0, size=m),
-                        R=10.0 ** rng.uniform(-6.0, 6.0, size=m))
+        yield ModelParams(gen=Generator(off), r=float(10.0 ** rng.uniform(-3.0, 0.0)),
+                          theta=ones, sigma=ones, c=ones, h=ones,
+                          N=10.0 ** rng.uniform(-6.0, 6.0, size=m),
+                          R=10.0 ** rng.uniform(-6.0, 6.0, size=m))
+
+
+def test_newton_clamp_never_acts():
+    # convexity puts every full Newton point at or above the solution, so each
+    # damped trial point is already >= 0
+    converged = 0
+    for p in newton_draws():
         with np.errstate(over="ignore", invalid="ignore"):
             expected = clamped_newton(p)
         if expected is None:
@@ -218,6 +223,35 @@ def test_newton_clamp_never_acts():
         assert iterations == expected[1]
         converged += 1
     assert converged >= 150
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="_newton runs to DEFAULT_MAX_ITER here; ROADMAP item 2's "
+                          "monotone Newton from the supersolution would end it")
+def test_newton_ends_early_on_an_absorbing_draw(monkeypatch):
+    # the first of newton_draws() on which _newton reaches DEFAULT_MAX_ITER:
+    # regime 2 absorbing, and every damped step lowers the residual by ~1e-5
+    # relative, so neither the tolerance nor the stalled line search ends it
+    draws = newton_draws()
+    next(draws)
+    p = next(draws)
+    assert p.m == 2 and p.gen.q[1, 0] == 0.0
+    assert p.N[0] == pytest.approx(2.7e5, rel=0.01)
+    assert p.R == pytest.approx([0.79, 1.7e4], rel=0.01)
+    iterations = 0
+    linalg_solve = np.linalg.solve
+
+    def jacobian_solve(a, b):  # once per Newton iteration
+        nonlocal iterations
+        iterations += 1
+        return linalg_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", jacobian_solve)
+    try:
+        riccati._newton(p)
+    except NonConvergence:
+        pass
+    assert iterations <= 20
 
 
 def test_determinism(p_bench):

@@ -472,15 +472,15 @@ def chain_params(gen):
 
 EVENT_CASES = {
     # name: generator, horizon, dt, paths, dtypes of node, path offset and state
-    "benchmark": (benchmark_params().gen, 200.0, 0.01, 256, (np.int16, np.int16, np.int8)),
+    "benchmark": (benchmark_params().gen, 200.0, 0.01, 256, (np.uint16, np.uint8, np.uint8)),
     # 2000 jumps a path: the chain walks blocks of 4 paths
     "narrow blocks": (Generator.two_state_symmetric(10.0), 200.0, 0.5, 40,
-                      (np.int16, np.int8, np.int8)),
+                      (np.uint16, np.uint8, np.uint8)),
     "200 regimes": (Generator(np.random.default_rng(200).uniform(0.0, 1.0, size=(200, 200))),
-                    20.0, 0.05, 64, (np.int16, np.int8, np.int16)),
+                    20.0, 0.05, 64, (np.uint16, np.uint8, np.uint8)),
     # about 20 jumps between two nodes
     "jumps between nodes": (Generator.two_state_symmetric(40.0), 20.0, 0.5, 30,
-                            (np.int8, np.int8, np.int8)),
+                            (np.uint8, np.uint8, np.uint8)),
 }
 
 
@@ -686,7 +686,15 @@ def test_mc_takes_finite_affine_laws_only(p_bench, sol_bench, monkeypatch, start
     for bad in (nan_slope, inf_intercept, shifted_policy(sol_bench, p_bench, math.inf)):
         with pytest.raises(ValueError, match="policy coefficients must be finite"):
             mc_cost(p_bench, bad, cfg)
+    # finite laws whose folded rows are not: N + R s^2 overflows, or gamma does
+    steep = PolicyCoefficients(np.array([1e200, law.slope[1]]), law.intercept)
+    far = PolicyCoefficients(law.slope, np.array([law.intercept[0], 1e200]))
+    for bad in (steep, far):
+        with pytest.raises(ValueError, match="overflow the folded step or cost"):
+            mc_cost(p_bench, bad, cfg)
     assert walks == [] and started == []
+    flat = PolicyCoefficients(np.zeros(2), law.intercept)  # a zero slope stays valid
+    assert np.all(np.isfinite(sde._affine_tables(p_bench, flat, cfg.dt)))
 
 
 def test_optimality_gap_matches_closed_form(p_bench, sol_bench):
