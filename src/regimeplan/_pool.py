@@ -1,35 +1,33 @@
 """Worker processes for the engines' path shares.
 
 map_paths(module, name, args, n, unit, cold, warm) alone cuts a run's
-paths 0..n-1 into contiguous shares, at most one per usable CPU, runs them
-and gathers their per-path results in path order, so what a caller reduces
-from them is bitwise equal for any split.  A path is worth `unit` units of
-work; every share keeps at least one path and needs `warm` units where idle
-workers take every share but the caller's, else `cold`, which pays for a
-new worker's start-up, so a small run starts none.  While a worker starts,
-the caller's share runs cold / 2 units more.
+paths 0..n-1 into contiguous shares, at most one per usable CPU, runs
+module.name(*args, lo, hi) on each and gathers their per-path results in
+path order, so what a caller reduces from them is bitwise equal for any
+split.  The first share runs in the calling process, each other one in a
+worker.  A path is worth `unit` units of work; every share keeps at least
+one path and needs `warm` units where idle workers take every share but the
+caller's, else `cold`, which pays for a new worker's start-up, so a small
+run starts none.  While a worker starts, the caller's share runs cold / 2
+units more (_bounds makes the cut).
 
-run(module, name, shares) calls module.name once per share and yields the
-results in share order: the first share runs in the calling process, each
-other one in a worker.  A worker is a fresh interpreter started with -c,
-never a fork of the caller, and imports only the named module, so a script
-needs no `if __name__ == "__main__"` guard.  It serves one share after
-another from its stdin until EOF, so up to cpus - 1 idle workers stay warm
-between runs (idle() counts them), and a run takes them before it starts
-new ones.  Each serves one run at a time; one whose result was not read is
-killed (see run), so no run reads another's result, and one that died
-while idle is replaced.  Workers belong to the process that started them:
-a forked child neither writes to nor ends its parent's, and starts its
-own.  close() ends the idle workers: EOF on stdin ends each one's loop, and
-it is reaped.  An atexit hook calls it, so no worker outlives its caller.
-subprocess, pickle and atexit are imported, and the hook registered, only
-when the first worker starts, so importing the package starts no process
-machinery.
+A worker is a fresh interpreter started with -c, never a fork of the
+caller, and imports only the named module, so a script needs no
+`if __name__ == "__main__"` guard.  It serves one share after another from
+its stdin until EOF, so up to cpus - 1 idle workers stay warm between runs
+(idle() counts them), and a run takes them before it starts new ones.  Each
+serves one run at a time; one whose result was not read is killed (see
+map_paths), so no run reads another's result, and one that died while idle
+is replaced.  Workers belong to the process that started them: a forked
+child neither writes to nor ends its parent's, and starts its own.  close()
+ends the idle workers: EOF on stdin ends each one's loop, and it is reaped.
+An atexit hook calls it, so no worker outlives its caller.  subprocess,
+pickle and atexit are imported, and the hook registered, only when the
+first worker starts, so importing the package starts no process machinery.
 """
 
 import importlib
 import os
-from contextlib import closing
 
 import numpy as np
 
@@ -152,37 +150,16 @@ def close() -> None:
         proc.stdout.close()
 
 
-def run(module: str, name: str, shares):
-    """Yield module.name(*args) for each args in shares, in order.
+def _bounds(n: int, unit: float, cold: float, warm: float) -> list:
+    """The (lo, hi) path ranges of a run's shares, the caller's first.
 
-    The function is looked up when called, so the first share runs whatever
-    module.name is in this process and the workers run the module's own.
-    Every worker has its request before the first share runs.  A worker's
-    exception is raised here once its result is read.  On any exception,
-    ^C included, and when the caller closes the generator early, every
-    worker whose result was not read is killed and reaped; the others go
-    back to the pool, up to cpus - 1 idle workers, and the rest are ended.
+    While a worker has to start, the caller's share also takes the paths it
+    runs meanwhile, but every share keeps at least one path.
     """
-    idle_procs = _IDLE.setdefault(os.getpid(), [])
-    procs, read = [], 0
-    try:
-        for args in shares[1:]:
-            procs.append(_take(idle_procs))
-            _send(procs[-1], (module, name, args))
-        yield getattr(importlib.import_module(module), name)(*shares[0])
-        for proc in procs:
-            res = _read(proc)
-            read += 1
-            if isinstance(res, BaseException):
-                raise res
-            yield res
-            del res  # so the caller can drop it before the next one is read
-    finally:
-        for k, proc in enumerate(procs):
-            if k < read and len(idle_procs) < _cpus() - 1:
-                idle_procs.append(proc)
-            else:
-                _end(proc)
+    shares = min(n, _workers(n * unit, cold, warm))
+    head = min(int(cold / 2 / unit), n - shares) if shares - 1 > idle() else 0
+    cuts = [0] + [head + (n - head) * s // shares for s in range(1, shares + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
 def map_paths(module: str, name: str, args: tuple, n: int, unit: float, cold: float,
@@ -190,23 +167,40 @@ def map_paths(module: str, name: str, args: tuple, n: int, unit: float, cold: fl
     """module.name(*args, lo, hi) over paths 0..n-1 in shares, gathered in path order.
 
     The function returns a tuple of arrays whose last axes run over paths
-    lo..hi-1, and map_paths the same tuple over all n paths.  One share's
-    tuple comes back as it is; with more, each array is allocated when the
-    first share arrives, and each share is dropped before the next is read.
+    lo..hi-1, and map_paths the same tuple over all n paths.  It is looked
+    up when called, so the caller's share runs whatever module.name is in
+    this process and the workers run the module's own.  Every worker has its
+    request before the caller's share runs.  One share's tuple comes back as
+    it is; with more, each array is allocated when the caller's share ends,
+    and each share is dropped before the next is read.  A worker's exception
+    is raised here once its result is read.  On any exception, ^C included,
+    every worker whose result was not read is killed and reaped; the others
+    go back to the pool, up to cpus - 1 idle workers, and the rest are ended.
     """
-    shares = min(n, _workers(n * unit, cold, warm))
-    # the paths the caller runs while a worker starts, if one has to
-    head = min(int(cold / 2 / unit), n - shares) if shares - 1 > idle() else 0
-    cuts = [0] + [head + (n - head) * s // shares for s in range(1, shares + 1)]
-    bounds = list(zip(cuts, cuts[1:]))
-    with closing(run(module, name, [args + b for b in bounds])) as parts:
-        if shares == 1:
-            return next(parts)
-        out = ()
-        for lo, hi in bounds:
-            part = next(parts)
-            out = out or tuple(np.empty(a.shape[:-1] + (n,), a.dtype) for a in part)
+    bounds = _bounds(n, unit, cold, warm)
+    idle_procs = _IDLE.setdefault(os.getpid(), [])
+    procs, read = [], 0
+    try:
+        for b in bounds[1:]:
+            procs.append(_take(idle_procs))
+            _send(procs[-1], (module, name, args + b))
+        part = getattr(importlib.import_module(module), name)(*args, *bounds[0])
+        if not procs:
+            return part
+        out = tuple(np.empty(a.shape[:-1] + (n,), a.dtype) for a in part)
+        for k, (lo, hi) in enumerate(bounds):
+            if k:
+                part = _read(procs[k - 1])
+                read = k
+                if isinstance(part, BaseException):
+                    raise part
             for whole, a in zip(out, part):
                 whole[..., lo:hi] = a
             part = a = None  # a share's arrays go before the next one is read
         return out
+    finally:
+        for k, proc in enumerate(procs):
+            if k < read and len(idle_procs) < _cpus() - 1:
+                idle_procs.append(proc)
+            else:
+                _end(proc)

@@ -13,6 +13,8 @@ and the slope vector psi solves the linear system B_phi psi = b with
 The quadratic system has a unique nonnegative solution; two independent
 solvers are provided (damped Newton and the coordinate-elimination method)
 together with the dominance margins (phi_a + phi_b)/R + r that certify it.
+solve refuses a Newton curvature outside the cheap bracket [rho, cbar]
+that every row's own root and the constant supersolution give.
 """
 
 from __future__ import annotations
@@ -310,9 +312,40 @@ def uniqueness_certificate(phi_a, phi_b, p: ModelParams) -> DominanceCertificate
     return DominanceCertificate(margins=margins)
 
 
+def _require_bracketed(phi: np.ndarray, p: ModelParams) -> None:
+    """NonConvergence unless phi lies in its cheap bracket, up to 1e-8 relative.
+
+    Below: with the coupling sum_{j != i} q_ij phi(j) >= 0 dropped, row i's
+    root is rho(i) = 2 N(i) / (l(i) + sqrt(l(i)^2 + 4 N(i)/R(i))) with
+    l(i) = r - q_ii, and phi(i) >= rho(i).  Above: the constant cbar of
+    elimination_solve is a supersolution, so phi(i) <= cbar.  The margin
+    sits above the 2.4e-9 relative drift Newton shows on single-regime
+    draws, where rho = cbar is the root; a NaN phi fails too.
+    """
+    lin = p.r - p.gen.q.diagonal()
+    ratio = 4.0 * p.N / p.R
+    low = 2.0 * p.N / (lin + np.sqrt(lin * lin + ratio))
+    cbar = float(np.max(2.0 * p.N / (p.r + np.sqrt(p.r * p.r + ratio))))
+    inside = (phi >= low * (1.0 - 1e-8)) & (phi <= cbar * (1.0 + 1e-8))
+    if not inside.all():
+        i = int(np.argmin(inside))
+        norm = float(np.max(np.abs(are_residual(phi, p))))
+        raise NonConvergence(
+            f"Newton's phi({i + 1}) = {phi[i]:.6g} lies outside its bracket "
+            f"[{low[i]:.6g}, {cbar:.6g}] (last residual {norm:.3e})", norm)
+
+
 def solve(p: ModelParams) -> RiccatiSolution:
-    """Full solve: curvature, slope, residuals, and the self-certificate."""
+    """Full solve: curvature, slope, residuals, and the self-certificate.
+
+    Raises NonConvergence as solve_are does, and when Newton's curvature
+    lies outside its bracket [rho, cbar] (_require_bracketed), as it does at
+    the benchmark with N and R scaled by 2^-40, where Newton returns phi = 0
+    after 0 iterations.  Inside the bracket phi can still be off: 1.4% with
+    N and R scaled by 2^-34 to 2^-37.
+    """
     phi, iterations = _newton(p)
+    _require_bracketed(phi, p)
     psi = solve_psi(phi, p)
     phi.setflags(write=False)
     psi.setflags(write=False)

@@ -41,10 +41,11 @@ rate) would bring more than chain._BLOCK_JUMPS expected jumps, and the
 chain walk refuses a path that alone expects more; past one block, memory
 grows by one float per path.  The engine keeps per-path reductions and, at
 the grid nodes a caller lists and within chain._KEEP_BUDGET bytes, every
-path's state, regime and running cost: asymptotic_decay lists its checkpoints, and
+path's state, regime and running cost: asymptotic_decay lists its
+checkpoints and takes both X and Y = phi(a) X + psi(a) there, and
 simulate_controlled lists every node and derives u through the law, so kept
-paths take the same step and the same quadrature as the estimates.  Every per-path operation is
-elementwise and runs in grid order, and all reductions run over arrays in
+paths take the same step and the same quadrature as the estimates.  Every
+per-path operation is elementwise and runs in grid order, and all reductions run over arrays in
 global path order, so a given SimConfig produces bit-identical results
 whatever the block, chunk and share sizes.  A run's paths go to worker
 processes in shares (_pool.map_paths, at _SHARE_WORK or _WARM_WORK
@@ -425,14 +426,16 @@ def mc_cost(p: ModelParams, sol_or_policy, cfg: SimConfig) -> MCEstimate:
 
 @np.errstate(over="ignore", invalid="ignore")
 def asymptotic_decay(p: ModelParams, sol: RiccatiSolution, cfg: SimConfig,
-                     checkpoints, adjoint: bool = False) -> list:
-    """MC estimates of e^{-rT} E|X_T|^2 at each checkpoint time.
+                     checkpoints) -> list:
+    """MC estimates of e^{-rT} E|X_T|^2 and e^{-rT} E|Y_T|^2 at each checkpoint time.
 
-    checkpoints must be strictly increasing and lie on the grid (each is
-    matched to the nearest node; the discount uses the node time).  With
-    adjoint=True the statistic is taken on Y_T = phi(a_T) X_T + psi(a_T)
-    instead of X_T.  Returns [(T, estimate, standard error), ...].  Raises
-    ValueError if a statistic overflows, and as _run does.
+    Y_T = phi(a_T) X_T + psi(a_T) is the adjoint process.  One engine run
+    records X and the regime at every checkpoint, so both statistics come
+    from the same paths.  checkpoints must be strictly increasing and lie on
+    the grid (each is matched to the nearest node; the discount uses the
+    node time).  Returns [(T, x_mean, x_se, y_mean, y_se), ...].  Raises
+    ValueError if any statistic overflows, so a caller that reads only X's
+    columns also gets ValueError when Y's overflow, and as _run does.
     """
     if cfg.n_paths < 2:
         raise ValueError("asymptotic_decay needs n_paths >= 2")
@@ -453,13 +456,10 @@ def asymptotic_decay(p: ModelParams, sol: RiccatiSolution, cfg: SimConfig,
     _, _, rec_x, rec_reg, _ = _run(p, policy_coefficients(sol, p), cfg, record=nodes)
     result = []
     for t, k, xs, ids in zip(cps, nodes, rec_x, rec_reg):
-        if adjoint:
-            vals = (sol.phi[ids] * xs + sol.psi[ids]) ** 2
-        else:
-            vals = xs ** 2
         w = math.exp(-p.r * k * cfg.dt)
-        mean, se = chain._mean_se(vals)
-        result.append((t, w * mean, w * se))
+        x_mean, x_se = chain._mean_se(xs ** 2)
+        y_mean, y_se = chain._mean_se((sol.phi[ids] * xs + sol.psi[ids]) ** 2)
+        result.append((t, w * x_mean, w * x_se, w * y_mean, w * y_se))
     return result
 
 

@@ -71,13 +71,13 @@ def all_reaped(procs):
 
 
 def recorded_shares(monkeypatch):
-    """The (lo, hi) path ranges of each _pool.run call."""
+    """The (lo, hi) path ranges of each _pool.map_paths call."""
     calls = []
-    run = _pool.run
+    bounds = _pool._bounds
 
-    def recording(module, name, shares):
-        calls.append([args[-2:] for args in shares])
-        return run(module, name, shares)
+    def recording(n, unit, cold, warm):
+        calls.append(bounds(n, unit, cold, warm))
+        return calls[-1]
 
-    monkeypatch.setattr(_pool, "run", recording)
+    monkeypatch.setattr(_pool, "_bounds", recording)
     return calls

@@ -16,6 +16,7 @@ from regimeplan import (
 from regimeplan import _pool, chain
 from regimeplan.chain import regimes_on_grid
 
+import pool_shares
 from conftest import all_reaped, recorded_shares
 
 INVALID_GENERATORS = [
@@ -589,9 +590,9 @@ def test_functional_mc_failed_share_reaps_workers(monkeypatch, started):
     monkeypatch.setattr(_pool, "_cpus", lambda: 2)
     # a worker's share fails: its exception reaches the caller, and the
     # worker, which wrote it whole, serves on
-    share = (gen, 0.1, np.array([1.0, 2.0]), 1, 10.0, 0, 0, 4)
-    with pytest.raises(TypeError):
-        list(_pool.run("regimeplan.chain", "_functional_share", [share, (None,) * 8]))
+    monkeypatch.setattr(pool_shares, "refuse", pool_shares.indices)  # the parent's share only
+    with pytest.raises(TypeError, match="refused paths 4..7"):
+        _pool.map_paths("pool_shares", "refuse", (), 8, 1.0, 1.0, 1.0)
     assert len(started) == 1 and _pool.idle() == 1 and started[0].poll() is None
 
     def interrupted(*args):  # the parent's own share; the worker runs the real one

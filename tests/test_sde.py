@@ -32,6 +32,7 @@ from regimeplan import _pool, chain, sde
 from regimeplan.chain import regimes_on_grid
 from regimeplan.riccati import RiccatiSolution
 
+import pool_shares
 from conftest import all_reaped
 
 
@@ -191,7 +192,6 @@ def engine_results(p, sol, cfg):
     paths = simulate_controlled(p, sol, cfg)
     return [mc_cost(p, sol, cfg), mc_cost(p, shifted_policy(sol, p, 0.5), cfg),
             asymptotic_decay(p, sol, cfg, (1.0, 10.0, cfg.horizon)),
-            asymptotic_decay(p, sol, cfg, (1.0, 10.0, cfg.horizon), adjoint=True),
             [np.concatenate([cp.x, cp.u, cp.regime, cp.disc_cost]).tobytes()
              for cp in paths]]
 
@@ -206,7 +206,7 @@ def test_worker_counts_bitwise_equal(p_bench, sol_bench, monkeypatch, started):
         monkeypatch.setattr(_pool, "_workers", lambda work, cold, warm, k=k: k)
         runs.append(engine_results(p_bench, sol_bench, cfg))
     assert runs[0] == runs[1] == runs[2]
-    # five engine runs at 2 shares start one worker; five at 3 shares one more
+    # four engine runs at 2 shares start one worker; four at 3 shares one more
     assert len(started) == 2 and _pool.idle() == 2
     assert not any(proc.poll() for proc in started)
     _pool.close()
@@ -321,27 +321,25 @@ def test_interrupted_run_is_not_read_by_the_next(p_bench, sol_bench, monkeypatch
     assert len(started) == 1 and started[0].returncode == -signal.SIGKILL
     monkeypatch.setattr(sde, "_share", share)
     assert mc_cost(p_bench, sol_bench, cfg) == alone
-    # a generator closed before a worker's result was read ends that worker
-    runs = _pool.run("time", "sleep", [(0,), (0,)])
-    next(runs)
-    runs.close()
-    assert len(started) == 2 and _pool.idle() == 0 and all_reaped(started)
-    assert mc_cost(p_bench, sol_bench, cfg) == alone
-    assert len(started) == 3 and _pool.idle() == 1
+    assert len(started) == 2 and _pool.idle() == 1
 
 
 def test_worker_failures_reach_parent(monkeypatch, started):
     monkeypatch.setattr(_pool, "_cpus", lambda: 2)
-    monkeypatch.setattr(sde, "_share", lambda *args: None)  # the parent's share only
-    with pytest.raises(TypeError):  # the worker's real _share fails on these
-        list(_pool.run("regimeplan.sde", "_share", [(), (None,) * 9]))
+    monkeypatch.setattr(_pool, "_workers", lambda work, cold, warm: 2)
+    monkeypatch.setattr(pool_shares, "refuse", pool_shares.indices)  # the parent's share only
+    with pytest.raises(TypeError, match="refused paths 2..3"):  # the worker's share
+        _pool.map_paths("pool_shares", "refuse", (), 4, 1.0, 1.0, 1.0)
     # it wrote its exception whole, so it serves the next run
     assert len(started) == 1 and _pool.idle() == 1
-    runs = _pool.run("time", "sleep", [(0,), (60,)])
-    next(runs)
-    started[0].kill()  # long before it could write a result
+
+    def kill_worker(seconds, lo, hi):  # the parent's share; the worker sleeps
+        started[0].kill()  # long before it could write a result
+        return pool_shares.indices(lo, hi)
+
+    monkeypatch.setattr(pool_shares, "slow", kill_worker)
     with pytest.raises(RuntimeError, match="engine worker exited with status -9"):
-        next(runs)
+        _pool.map_paths("pool_shares", "slow", (60.0,), 4, 1.0, 1.0, 1.0)
     assert len(started) == 1 and _pool.idle() == 0 and all_reaped(started)
 
 
@@ -520,8 +518,11 @@ def test_kept_paths_share_estimate_arithmetic(p_bench, sol_bench):
     cfg = SimConfig(dt=0.05, horizon=20.0, n_paths=50, seed=8, x0=1.0, i0=1)
     paths = simulate_controlled(p_bench, sol_bench, cfg)
     x_end = np.array([cp.x[-1] for cp in paths])
-    ((_, decay, _),) = asymptotic_decay(p_bench, sol_bench, cfg, (cfg.horizon,))
+    ids = np.array([cp.regime[-1] for cp in paths]) - 1
+    y_end = sol_bench.phi[ids] * x_end + sol_bench.psi[ids]
+    ((_, decay, _, y_decay, _),) = asymptotic_decay(p_bench, sol_bench, cfg, (cfg.horizon,))
     assert math.exp(-p_bench.r * cfg.n_steps * cfg.dt) * float(np.mean(x_end ** 2)) == decay
+    assert math.exp(-p_bench.r * cfg.n_steps * cfg.dt) * float(np.mean(y_end ** 2)) == y_decay
     kept = np.array([cp.disc_cost[-1] for cp in paths])
     costs = sde._run(p_bench, policy_coefficients(sol_bench, p_bench), cfg)[0]
     assert np.array_equal(kept, costs)
@@ -755,17 +756,16 @@ def test_decay_deterministic_case():
     xbar = closed_loop_equilibrium(sol, p, 1)
     cfg = SimConfig(dt=0.01, horizon=10.0, n_paths=2, seed=0, x0=xbar, i0=1)
     rows = asymptotic_decay(p, sol, cfg, (1.0, 5.0, 10.0))
-    for t_req, mean, se in rows:
+    for t_req, mean, se, _, _ in rows:
         assert se == 0.0
         assert mean == pytest.approx(math.exp(-p.r * t_req) * xbar ** 2, rel=1e-9)
 
 
 def test_decay_from_displaced_start(p_bench, sol_bench):
     cfg = SimConfig(dt=0.02, horizon=100.0, n_paths=600, seed=55, x0=5.0, i0=1)
-    for adjoint in (False, True):
-        rows = asymptotic_decay(p_bench, sol_bench, cfg, (1.0, 10.0, 50.0, 100.0),
-                                adjoint=adjoint)
-        means = [mean for _, mean, _ in rows]
+    rows = asymptotic_decay(p_bench, sol_bench, cfg, (1.0, 10.0, 50.0, 100.0))
+    for column in (1, 3):  # X, then Y
+        means = [row[column] for row in rows]
         assert means[0] > means[1] > means[2] > means[3] > 0.0
         assert means[3] < 0.02 * means[0]
 
@@ -831,6 +831,5 @@ def test_overflowing_cost_raises(p_bench, sol_bench):
 def test_decay_statistics_overflow_raises(p_bench, sol_bench):
     # x_T^2 is finite at x0 = 1e100 but its spread overflows the standard error
     cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=4, seed=0, x0=1e100, i0=1)
-    for adjoint in (False, True):
-        with pytest.raises(ValueError, match="standard error inf"):
-            asymptotic_decay(p_bench, sol_bench, cfg, (1.0,), adjoint=adjoint)
+    with pytest.raises(ValueError, match="standard error inf"):
+        asymptotic_decay(p_bench, sol_bench, cfg, (1.0,))
