@@ -13,8 +13,8 @@ and the slope vector psi solves the linear system B_phi psi = b with
 The quadratic system has a unique nonnegative solution; two independent
 solvers are provided (damped Newton and the coordinate-elimination method)
 together with the dominance margins (phi_a + phi_b)/R + r that certify it.
-solve refuses a Newton curvature outside the cheap bracket [rho, cbar]
-that every row's own root and the constant supersolution give.
+Newton (solve_are and solve) refuses a curvature outside the cheap bracket
+[rho, cbar] that every row's own root and the constant supersolution give.
 """
 
 from __future__ import annotations
@@ -116,9 +116,13 @@ def solve_are(p: ModelParams) -> np.ndarray:
     until the residual norm decreases (at most 60 halvings), staying >= 0.
 
     Raises :class:`NonConvergence` if DEFAULT_MAX_ITER iterations do not
-    reach DEFAULT_TOL, if 60 halvings find no decrease, or if the Jacobian
+    reach DEFAULT_TOL, if 60 halvings find no decrease, if the Jacobian
     is singular in floating point (rates so fast that r + exit rate rounds
-    to the exit rate).
+    to the exit rate), or if the converged phi lies outside its bracket
+    [rho, cbar] (_require_bracketed), as it does at the benchmark with N and
+    R scaled by 2^-40, where Newton stops at phi = 0 after 0 iterations.
+    Inside the bracket phi can still be off: 1.4% with N and R scaled by
+    2^-34 to 2^-37.
     """
     phi, _ = _newton(p)
     return phi
@@ -156,6 +160,7 @@ def _newton(p: ModelParams):
             raise NonConvergence(f"Newton's line search stalled at iteration {it} "
                                  f"(last residual {norm:.3e})", norm)
         phi, res, norm = cand, cres, cnorm
+    _require_bracketed(phi, p)
     return phi, it
 
 
@@ -338,14 +343,9 @@ def _require_bracketed(phi: np.ndarray, p: ModelParams) -> None:
 def solve(p: ModelParams) -> RiccatiSolution:
     """Full solve: curvature, slope, residuals, and the self-certificate.
 
-    Raises NonConvergence as solve_are does, and when Newton's curvature
-    lies outside its bracket [rho, cbar] (_require_bracketed), as it does at
-    the benchmark with N and R scaled by 2^-40, where Newton returns phi = 0
-    after 0 iterations.  Inside the bracket phi can still be off: 1.4% with
-    N and R scaled by 2^-34 to 2^-37.
+    Raises NonConvergence as solve_are does, bracket refusal included.
     """
     phi, iterations = _newton(p)
-    _require_bracketed(phi, p)
     psi = solve_psi(phi, p)
     phi.setflags(write=False)
     psi.setflags(write=False)

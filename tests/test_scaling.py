@@ -11,8 +11,8 @@ symmetry holds every solver output scales bit for bit:
   times 2^k leave phi, psi and w unchanged.
 
 Where Newton's absolute tolerance breaks a symmetry the case is a strict
-xfail (ROADMAP item 2); where it leaves phi outside its bracket, solve
-raises NonConvergence.
+xfail (ROADMAP item 2); where it leaves phi outside its bracket, solve and
+solve_are raise NonConvergence.
 """
 
 import dataclasses
@@ -30,6 +30,7 @@ from regimeplan import (
     policy_coefficients,
     sde,
     solve,
+    solve_are,
     value_constant,
 )
 from regimeplan.riccati import NonConvergence
@@ -118,8 +119,9 @@ def test_time_scaling_is_exact(base, k):
 def test_curvature_outside_its_bracket_is_refused(p):
     # Newton returns phi = 0 after 0 iterations: its first residual, N, is
     # already below the absolute tolerance
-    with pytest.raises(NonConvergence, match="outside its bracket"):
-        solve(p)
+    for fn in (solve, solve_are):
+        with pytest.raises(NonConvergence, match="outside its bracket"):
+            fn(p)
 
 
 def test_cli_solve_exits_3_outside_the_bracket(tmp_path, capsys):

@@ -833,3 +833,15 @@ def test_decay_statistics_overflow_raises(p_bench, sol_bench):
     cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=4, seed=0, x0=1e100, i0=1)
     with pytest.raises(ValueError, match="standard error inf"):
         asymptotic_decay(p_bench, sol_bench, cfg, (1.0,))
+    # N and R times 2^10 leave the feedback law, hence every X path, bitwise
+    # unchanged and scale phi and psi by 2^10: at x0 = 1e76 X's statistics
+    # stay finite and only Y's spread overflows
+    cfg = SimConfig(dt=0.01, horizon=1.0, n_paths=4, seed=0, x0=1e76, i0=1)
+    (_, x_mean, x_se, _, _), = asymptotic_decay(p_bench, sol_bench, cfg, (1.0,))
+    assert math.isfinite(x_mean) and math.isfinite(x_se)
+    p = p_bench.replace(N=p_bench.N * 2.0 ** 10, R=p_bench.R * 2.0 ** 10)
+    sol = solve(p)
+    assert np.array_equal(sol.phi, 2.0 ** 10 * sol_bench.phi)
+    assert np.array_equal(sol.psi, 2.0 ** 10 * sol_bench.psi)
+    with pytest.raises(ValueError, match="not finite"):
+        asymptotic_decay(p, sol, cfg, (1.0,))
