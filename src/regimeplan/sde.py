@@ -463,23 +463,32 @@ def asymptotic_decay(p: ModelParams, sol: RiccatiSolution, cfg: SimConfig,
     return result
 
 
-def _adjoint_terms(p: ModelParams, sol: RiccatiSolution, samples):
-    """Per-sample defect of adjoint_residual's identity and the sum of its terms' sizes.
+def adjoint_residual(p: ModelParams, sol: RiccatiSolution, x, i) -> float:
+    """Relative drift defect of Y = phi(a) X + psi(a) at states x in regimes i.
 
-    The second array adds the absolute values of every term of the identity,
-    with u* = s x + k and the chain sums taken term by term, so rounding in
-    the defect stays below a small multiple of it whatever the model's scale.
+    x and i (1-based) are arrays in the form PolicyCoefficients takes.  At
+    each sample the Ito drift of Y under the feedback law,
+
+        phi(i)(u*(x, i) - theta(i)) + sum_j q_ij (phi(j) x + psi(j)),
+
+    must equal the adjoint drift -[N(i)(x - c(i)) - r(phi(i) x + psi(i))].
+    Returns the largest defect over the samples divided by the largest sum of
+    the absolute values of the identity's terms (u* = s x + k and the chain
+    sums taken term by term), 0 if every term is 0: max over max, not a
+    per-sample ratio.  Both maxima scale alike under the model's cost, space
+    and time symmetries, so the ratio does not change with them, and at an
+    exact curvature/slope solution it is rounding level.  Raises ValueError
+    for phi < 0, no samples or a regime outside 1..m.
     """
     phi, psi = sol.phi, sol.psi
     if np.any(phi < 0):
         raise ValueError("phi must be nonnegative")
-    xs = np.array([float(s[0]) for s in samples])
-    ii = np.array([int(s[1]) for s in samples])
+    xs = np.asarray(x, dtype=float)
     if xs.size == 0:
         raise ValueError("samples must be nonempty")
-    idx = ii - 1
     coeffs = policy_coefficients(sol, p)
-    u = coeffs(xs, ii, 0.0)
+    u = coeffs(xs, i, 0.0)
+    idx = np.asarray(i, dtype=np.int64) - 1
     qphi = p.gen.q @ phi
     qpsi = p.gen.q @ psi
     drift_y = phi[idx] * (u - p.theta[idx]) + xs * qphi[idx] + qpsi[idx]
@@ -489,23 +498,8 @@ def _adjoint_terms(p: ModelParams, sol: RiccatiSolution, samples):
                          + np.abs(p.theta[idx]))
              + ax * (aq @ phi)[idx] + (aq @ np.abs(psi))[idx]
              + p.N[idx] * (ax + np.abs(p.c[idx])) + p.r * (phi[idx] * ax + np.abs(psi[idx])))
-    return res, scale
-
-
-def adjoint_residual(p: ModelParams, sol: RiccatiSolution, samples) -> float:
-    """Largest drift defect of Y = phi(a) X + psi(a) over the given samples.
-
-    For each (x, i), i 1-based, the Ito drift of Y under the feedback law,
-
-        phi(i)(u*(x, i) - theta(i)) + sum_j q_ij (phi(j) x + psi(j)),
-
-    must equal the adjoint drift -[N(i)(x - c(i)) - r(phi(i) x + psi(i))];
-    the return value is the maximum absolute difference.  At an exact
-    curvature/slope solution the identity is algebraic, so the residual is
-    rounding-level and scales like (solver tolerance) * (1 + |x|).
-    """
-    res, _ = _adjoint_terms(p, sol, samples)
-    return float(np.max(np.abs(res)))
+    top = float(np.max(scale))
+    return float(np.max(np.abs(res))) / top if top > 0 else 0.0
 
 
 def shifted_policy(sol: RiccatiSolution, p: ModelParams,

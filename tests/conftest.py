@@ -1,12 +1,13 @@
 """Shared fixtures: the benchmark model, its solution, a random-instance factory,
-a record of the worker processes a test starts and of the path shares it runs."""
+the quadratic system's row-relative residual, a record of the worker processes
+a test starts and of the path shares it runs."""
 
 import subprocess
 
 import numpy as np
 import pytest
 
-from regimeplan import Generator, ModelParams, _pool, benchmark_params, solve
+from regimeplan import Generator, ModelParams, _pool, are_residual, benchmark_params, solve
 
 
 @pytest.fixture(scope="session")
@@ -44,6 +45,12 @@ def random_params(rng, m=None):
 @pytest.fixture(scope="session")
 def make_params():
     return random_params
+
+
+def relative_residual(phi, p):
+    """max_i |F_i(phi)| over the magnitudes of row i's terms."""
+    terms = phi * phi / p.R + p.r * phi + np.abs(p.gen.q) @ phi + p.N
+    return float(np.max(np.abs(are_residual(phi, p)) / terms))
 
 
 @pytest.fixture

@@ -12,7 +12,6 @@ import numpy as np
 from regimeplan import (
     SimConfig,
     adjoint_residual,
-    are_residual,
     asymptotic_decay,
     benchmark_params,
     cli,
@@ -30,7 +29,7 @@ from regimeplan import (
 )
 from regimeplan.chain import discounted_functional_mc, discounted_resolvent
 
-from conftest import random_params
+from conftest import random_params, relative_residual
 
 EXPECTED = expected_values()
 TOL = EXPECTED["tolerance"]
@@ -98,18 +97,20 @@ def test_criterion_3_cross_solver_agreement():
 
 
 def test_criterion_4_residual_identities(p_bench, sol_bench):
-    res_phi = float(np.max(np.abs(are_residual(sol_bench.phi, p_bench))))
-    res_psi = float(np.max(np.abs(psi_residual(sol_bench.phi, sol_bench.psi,
-                                               p_bench))))
-    assert res_phi <= 1e-10
-    assert res_psi <= 1e-10
+    # each defect over the sizes of its identity's terms, so the gates hold at any scale
+    p, phi, psi = p_bench, sol_bench.phi, sol_bench.psi
+    res_phi = relative_residual(phi, p)
+    slope_terms = ((phi / p.R + p.r) * np.abs(psi) + np.abs(p.gen.q) @ np.abs(psi)
+                   + np.abs(p.h - p.theta) * phi + p.N * np.abs(p.c))
+    res_psi = float(np.max(np.abs(psi_residual(phi, psi, p)) / slope_terms))
     rng = np.random.default_rng(424242)
-    samples = [(float(x), int(i)) for x, i in zip(rng.uniform(-20.0, 20.0, 1000),
-                                                  rng.integers(1, 3, 1000))]
-    res_adj = adjoint_residual(p_bench, sol_bench, samples)
-    assert res_adj <= 1e-9
-    print(f"criterion 4 PASS: quadratic residual {res_phi:.2e} <= 1e-10, "
-          f"adjoint residual {res_adj:.2e} <= 1e-9 over 1000 samples")
+    res_adj = adjoint_residual(p, sol_bench, rng.uniform(-20.0, 20.0, 1000),
+                               rng.integers(1, 3, 1000))
+    assert res_phi <= 1e-12
+    assert res_psi <= 1e-12
+    assert res_adj <= 1e-12
+    print(f"criterion 4 PASS: relative quadratic residual {res_phi:.2e}, slope residual "
+          f"{res_psi:.2e} and adjoint defect {res_adj:.2e} over 1000 samples, all <= 1e-12")
 
 
 def test_criterion_5_value_function_verification(p_bench, sol_bench):

@@ -135,6 +135,7 @@ def test_sweep_explicit_values(tmp_path):
     rows = read_csv(tmp_path / "sweep" / "q" / "table.csv")
     assert len(rows) == 2
     assert [row["value"] for row in rows] == ["1", "3"]
+    assert cli._parse_sweep_values("r", "0.03,,0.08") == [0.03, 0.08]  # empty tokens skipped
 
 
 def test_sweep_vector_tokens_and_labels(tmp_path):
@@ -170,6 +171,10 @@ def test_sweep_bad_values_exit_2(tmp_path, capsys):
     assert run(["sweep", "--param", "r", "--values", "a,b",
                 "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert run(["sweep", "--param", "r", "--values", ",", "--out", str(tmp_path)]) == 2
+    assert "no sweep values given" in capsys.readouterr().err
+    assert run(["sweep", "--param", "theta", "--values", "4", "--out", str(tmp_path)]) == 2
+    assert "theta sweep value must have length 2" in capsys.readouterr().err
     # the overflowing grid fails in the value tables, before table.csv is written
     for label, extra in [("nan:1", ["--values", "nan:1"]), ("inf:1", ["--values", "inf:1"]),
                          ("grid", ["--grid=-1e160:1e160:3"])]:
@@ -194,6 +199,7 @@ def test_value_grid(tmp_path, capsys):
 def test_value_rejects_non_finite_grid(tmp_path, capsys):
     # the second grid is finite, but x^2 overflows in the value table
     for label, grid, message in [("inf", "0:inf:5", "invalid grid spec"),
+                                 ("short", "0:1", "want lo:hi:points"),
                                  ("huge", "-1e160:1e160:3", "value table is not finite")]:
         assert run(["value", f"--grid={grid}", "--out", str(tmp_path), "--label", label]) == 2
         assert message in capsys.readouterr().err

@@ -207,6 +207,10 @@ def test_config_rejects_wrong_q_length(p_bench):
     raw["Q"] = [0.0, 1.0]
     with pytest.raises(ConfigError, match="row-major list of 4"):
         params_from_config(raw)
+    raw = params_to_config(p_bench)
+    raw["theta"] = [4.0]
+    with pytest.raises(ConfigError, match="key 'theta' must be a list of 2 numbers"):
+        params_from_config(raw)
 
 
 def test_config_rejects_non_object():

@@ -22,7 +22,7 @@ from regimeplan import (
 )
 from regimeplan import riccati
 
-from conftest import random_params
+from conftest import random_params, relative_residual
 
 # perfbench's instance generator, which the benchmark's Newton-vs-elimination ops draw from
 _spec = importlib.util.spec_from_file_location(
@@ -33,12 +33,6 @@ _spec.loader.exec_module(workloads)
 # independently frozen benchmark solution (12-digit run, rounded to 8 decimals)
 PHI_BENCH = np.array([0.40833148, 0.36221726])
 PSI_BENCH = np.array([-0.54891677, -0.23297408])
-
-
-def relative_residual(phi, p):
-    """max_i |F_i(phi)| over the magnitudes of row i's terms."""
-    terms = phi * phi / p.R + p.r * phi + np.abs(p.gen.q) @ phi + p.N
-    return float(np.max(np.abs(are_residual(phi, p)) / terms))
 
 
 @pytest.fixture
@@ -288,6 +282,10 @@ def test_stalled_line_search_ends_the_solve(p_bench):
 def test_solver_hypothesis_checks(p_bench):
     with pytest.raises(ValueError, match="N not positive"):
         solve(p_bench.replace(N=[0.4, 0.0]))
+    with pytest.raises(ValueError, match="R not positive"):
+        solve(p_bench.replace(R=[0.5, -1.0]))
+    with pytest.raises(ValueError, match="phi must be nonnegative"):
+        solve_psi(-PHI_BENCH, p_bench)
     with pytest.raises(ValueError, match="r not positive"):
         solve(p_bench.replace(r=0.0))
     with pytest.raises(ValueError, match="off-diagonal"):
