@@ -14,14 +14,19 @@ Every walk, here and in the Euler engine (module sde), is _block_walk: a
 block of paths advances a round of draws at a time, numpy turns each
 uniform into a key, Python looks each next state up in a table indexed by
 state and key, and numpy sums the holding times, with the same draws, picks
-and float operations as adding one holding time per jump.  Each path owns
-its stream, so a path's jumps do not depend on the block it walks in.  The
-tables are built once per generator and process and kept in a small cache
-keyed by the generator's rates.  discounted_functional_mc runs its paths
-in shares through _pool.map_paths and reduces the per-path values in
-global path order, so its result does not depend on the worker count.
-regimes_on_grid samples a path at grid times by merging its jump times
-into the grid.
+and float operations as adding one holding time per jump.  A block of one
+path, as every simulate_chain call and every path whose horizon x top
+exit rate passes _WALK_JUMPS / 2 walks, does the same on 1-D arrays
+(_path_walk), where little more than the draws and the picks are left.
+Each path owns its stream, so a path's jumps do not depend on the block it
+walks in.  The tables are built once per generator and process and kept in
+a small cache keyed by the generator's rates.  discounted_functional_mc
+runs its paths in shares through _pool.map_paths and reduces the per-path
+values in global path order, so its result does not depend on the worker
+count.  regimes_on_grid samples a path at grid times by merging its jump
+times into the grid: an interpolation search, verified on both sides of
+each jump and backed by a binary search, finds each jump's first grid
+time, exactly for any nondecreasing grid.
 """
 
 from __future__ import annotations
@@ -39,20 +44,23 @@ from .model import Generator
 _BLOCK_JUMPS = 1 << 20  # most expected jumps on one path; sde sizes its blocks by it
 _WALK_JUMPS = 1 << 13   # expected jumps per walked block, most draws per path and round
 # fewest expected jumps a share needs to pay for a new worker: on a 2-core VM
-# a worker took 0.24-0.35 s to start and 2^21 jumps 0.4-0.8 s to walk and
-# integrate (m = 2 to 8 regimes; 0.4-1.2 s with bisect picks)
+# a worker took 0.24-0.35 s to start and 2^21 jumps 0.15-0.70 s to walk and
+# integrate (m = 2 to 8 regimes, paths of 4096 down to 64 jumps; 0.48-0.97 s
+# with bisect picks)
 _SHARE_JUMPS = 1 << 21
 # fewest expected jumps a share needs to pay for an idle worker's round trip:
 # on a 2-core VM two warm shares beat one from 3.5e4-1.4e5 jumps, _PATH_JUMPS
 # a path counted (m = 8, T = 3: 3.0 against 4.5 ms at 3.5e4; m = 2, T = 10:
 # 9.0 against 16.2 ms at 1.4e5, and 3.2 against 2.5 ms lost at 3.4e4)
 _WARM_JUMPS = 1 << 16
-# a path's own cost in jumps: on a 2-core VM a path took 21-34 us for its
-# generator and draw calls, and a jump 0.15-0.3 us to walk (m = 2 to 8)
+# a path's own cost in jumps: on a 2-core VM a path took 14-15 us for its
+# generator and draw calls, and a jump 52-110 ns to walk in paths of 512 to
+# 8192 jumps (m = 2 to 8)
 _PATH_JUMPS = 1 << 8
 _KEEP_BUDGET = 1 << 30  # bytes a run may retain, here and in sde
 _VALUE_BYTES = 16  # bytes per path of per-path results: a share's and the gathered copy
 _KEY_ENTRIES = 1 << 16  # most next-state table entries, m x |B| (see _key_table)
+_KEY_CELLS = 1 << 13  # most key grid cells (see _key_table)
 _TABLES_KEPT = 8  # most generators whose jump tables _walks keeps (see _cached_tables)
 _TABLES: dict = {}  # gen.q.tobytes() -> _jump_tables(gen), oldest first
 
@@ -121,18 +129,23 @@ def _key_table(cums, targets):
     B, so the first entry of state s that is >= u is also the first one
     >= B[k]: next[s][k] = targets[s][bisect_left(cums[s], B[k])] is the
     state the bisect pick would enter.  Keys come from a grid of G = 2^p
-    cells over [0, 1): cell[c] = #(B < c / G) for the cell holding u, then
-    at most per_cell steps of k += B[k] < u, per_cell being the most
-    entries of B below 1 in one cell.  u x G is exact, so its floor is u's
-    cell.  B ends with 1 > u, so no key runs past it.  Returns (G, cell, B,
-    per_cell, next), or None where m x |B| exceeds _KEY_ENTRIES: the table
-    grows as m^3 for a dense generator, and those chains bisect.
+    cells over [0, 1), 16-32 cells per entry of B and at most _KEY_CELLS
+    (so cell stays within the 64 KiB that 4-8 cells per entry reached at
+    most; the generator cache holds 8 of them): cell[c] = #(B < c / G) for
+    the cell holding u, then at most per_cell steps of k += B[k] < u,
+    per_cell being the most entries of B below 1 in one cell (1 or 2 on
+    dense 8-regime chains, where 4-8 cells per entry gave 1 to 4).  u x G
+    is exact, so its floor is u's cell.  B ends with 1 > u, so no key runs
+    past it.
+    Returns (G, cell, B, per_cell, next), or None where m x |B| exceeds
+    _KEY_ENTRIES: the table grows as m^3 for a dense generator, and those
+    chains bisect.
     """
     b = np.array(sorted(set().union(*cums)))
     if len(cums) * b.size > _KEY_ENTRIES:
         return None
     nxt = [np.take(tg, np.searchsorted(cu, b)).tolist() for cu, tg in zip(cums, targets)]
-    grid = 1 << (b.size.bit_length() + 2)  # 4-8 cells per entry
+    grid = min(1 << (b.size.bit_length() + 4), _KEY_CELLS)
     cell = np.searchsorted(b, np.arange(grid) / grid)
     per_cell = int(np.bincount((b[:-1] * grid).astype(np.intp), minlength=1).max())
     return grid, cell, b, per_cell, nxt
@@ -155,12 +168,26 @@ def _cached_tables(gen: Generator):
 
 
 def _keys(keys, u):
-    """Each uniform's key #(B < u) (see _key_table), as a list of Python ints."""
+    """Each uniform's key #(B < u) (see _key_table): bytes while |B| <= 256, else a list.
+
+    Either way, indexing or iterating it gives Python ints.
+    """
     grid, cell, b, per_cell, _ = keys
     k = cell[(u * grid).astype(np.intp)]
     for _ in range(per_cell):
         k += b[k] < u
-    return k.tolist()
+    return k.astype(np.uint8).tobytes() if b.size <= 256 else k.tolist()
+
+
+def _chunks(size, want):
+    """A round's chunk sizes and the next round's first: consecutive chunks
+    from size on, doubling up to 8192, until they hold want draws (at
+    least one chunk)."""
+    chunks = []
+    while not chunks or sum(chunks) < want:
+        chunks.append(size)
+        size = min(2 * size, 8192)
+    return chunks, size
 
 
 def _block_walk(tables, i0, horizon, streams):
@@ -171,7 +198,7 @@ def _block_walk(tables, i0, horizon, streams):
     state i0), then one entry per jump with the state entered.  Path k
     draws from default_rng(streams[k]), in chunks of 64, 128, ..., 8192
     exponentials each followed by as many uniforms; draws left over at the
-    horizon are discarded.
+    horizon are discarded.  A block of one path is _path_walk's.
 
     The live paths walk in rounds.  A round draws consecutive chunks until
     it holds min(horizon x mean exit rate over the states, _WALK_JUMPS)
@@ -192,6 +219,8 @@ def _block_walk(tables, i0, horizon, streams):
     order, of adding one holding time at a time.  An absorbing state's zero
     rate makes every later time infinite, which cuts its path there.
     """
+    if len(streams) == 1:
+        return _path_walk(tables, i0, horizon, np.random.default_rng(streams[0]))
     rates, cums, targets, keys = tables
     rngs = [np.random.default_rng(key) for key in streams]
     n = len(rngs)
@@ -208,10 +237,7 @@ def _block_walk(tables, i0, horizon, streams):
     size = 64  # the next chunk's
     want = min(horizon * sum(rates) / m, _WALK_JUMPS)
     while rows.size:
-        chunks = []
-        while not chunks or sum(chunks) < want:
-            chunks.append(size)
-            size = min(2 * size, 8192)
+        chunks, size = _chunks(size, want)
         cols = sum(chunks)
         e = np.empty((rows.size, cols))
         u = np.empty((rows.size, cols))
@@ -243,7 +269,7 @@ def _block_walk(tables, i0, horizon, streams):
                     nxt += [st := targets[st][bisect_left(cums[st], x)]
                             for x in u[j, :picks[j]].tolist()]
             entered = np.full((rows.size, cols), m)
-            entered[picked] = np.frombuffer(bytes(nxt), np.uint8) if m <= 256 else nxt
+            entered[picked] = np.frombuffer(bytearray(nxt), np.uint8) if m <= 256 else nxt
         left[:, 0] = rate[s[rows]]
         np.take(rate, entered[:, :-1], out=left[:, 1:])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -260,6 +286,66 @@ def _block_walk(tables, i0, horizon, streams):
         s[rows] = entered[on, -1]
     order = np.argsort(np.concatenate(paths), kind="stable")
     return tuple(np.concatenate(a)[order] for a in (paths, times, states))
+
+
+def _path_walk(tables, i0, horizon, rng):
+    """_block_walk's walk of a block of one path, drawing from rng.
+
+    The same rounds, draws, picks and float operations on 1-D arrays.  The
+    horizon bound is one cumulative sum and a searchsorted, taken only where
+    the round's exponentials at the top rate could reach the horizon: else
+    every draw is picked, and picking more than the jumps kept changes
+    nothing.  The keys come from the round's first picks uniforms, and the
+    picked states stay uint8 up to 256 states.  Only the picked jumps get
+    holding times, since the bound puts every later one at or past the
+    horizon, and a searchsorted of their times cuts the path there.  Its
+    entries are in order, so no sort follows.
+    """
+    rates, cums, targets, keys = tables
+    rate = np.array(rates)
+    top = max(rates)
+    times, states = [np.zeros(1)], [np.full(1, i0)]
+    t, s = 0.0, i0
+    size = 64  # the next chunk's
+    want = min(horizon * sum(rates) / len(rates), _WALK_JUMPS)
+    while rates[s] > 0.0:
+        chunks, size = _chunks(size, want)
+        cols = sum(chunks)
+        e = np.empty(cols)
+        u = np.empty(cols)
+        a = 0
+        for c in chunks:
+            rng.standard_exponential(out=e[a:a + c])
+            rng.random(out=u[a:a + c])
+            a += c
+        picks = cols  # any picks at least the jumps kept is exact
+        if t + e.sum() / top >= horizon:  # the bound may cut the round short
+            bound = np.divide(e, top)
+            bound[0] += t
+            picks = int(np.cumsum(bound, out=bound).searchsorted(horizon))
+            if not picks:
+                break
+        hold = np.empty(picks)  # the rate of the state each jump leaves
+        hold[0] = rates[s]
+        if keys is not None:
+            table = keys[-1]
+            nxt = [s := table[s][k] for k in _keys(keys, u[:picks])]
+        else:
+            nxt = [s := targets[s][bisect_left(cums[s], x)] for x in u[:picks].tolist()]
+        entered = np.frombuffer(bytearray(nxt), np.uint8) if len(rates) <= 256 else np.array(nxt)
+        np.take(rate, entered[:-1], out=hold[1:])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(e[:picks], hold, out=hold)  # the holding times, then the jump times
+        hold[0] += t
+        np.cumsum(hold, out=hold)
+        kept = int(hold.searchsorted(horizon))  # NaN, after an absorbing state, sorts last
+        times.append(hold[:kept])
+        states.append(entered[:kept])
+        if kept < cols:
+            break
+        t = hold[-1]
+    times, states = np.concatenate(times), np.concatenate(states)
+    return np.zeros(times.size, np.intp), times, states
 
 
 def _walks(gen: Generator, i0: int, horizon: float, streams):
@@ -323,20 +409,61 @@ def simulate_chain(gen: Generator, i0: int, horizon: float, seed) -> RegimePath:
 def regimes_on_grid(jump_times, states, grid) -> np.ndarray:
     """Sample a piecewise-constant regime path at the times of a 1-D grid.
 
-    states[j] holds on [jump_times[j], jump_times[j + 1]), jump_times
-    increasing; the result has states' values and dtype, one per grid time.
-    Raises ValueError for a grid that decreases anywhere, starts before
-    jump_times[0] or holds a NaN.  The jump times are merged into the grid:
-    one searchsorted of the jumps, then each state repeated over the grid
-    times up to the next jump, O(J log G + G) for J jumps and G grid times.
+    states[j] holds on [jump_times[j], jump_times[j + 1]); the result has
+    states' values and dtype, one per grid time.  Raises ValueError, before
+    any search, for jump times that are empty, not finite, decreasing or
+    of another length than states, and for a grid that is not 1-D,
+    decreases anywhere, starts before jump_times[0] or holds a NaN.  The jump times are merged
+    into the grid: _first_nodes finds each jump's first grid time at or
+    after it, then each state is repeated over the grid times up to the
+    next jump, O(J + G) for J jumps and G grid times on an even grid.
     """
-    jt, grid = np.asarray(jump_times), np.asarray(grid)
+    jt, states, grid = np.asarray(jump_times), np.asarray(states), np.asarray(grid)
+    if jt.ndim != 1 or not jt.size:
+        raise ValueError("jump_times must be a nonempty 1-D array")
+    if states.shape != jt.shape:
+        raise ValueError(f"states must have as many entries as jump_times ({jt.size})")
+    if not np.isfinite(jt).all():
+        raise ValueError("jump times must be finite")
+    if not np.all(jt[1:] >= jt[:-1]):
+        raise ValueError("jump times must not decrease")
+    if grid.ndim != 1:
+        raise ValueError("grid must be a 1-D array")
     if not np.all(grid[1:] >= grid[:-1]):
         raise ValueError("grid times must be nondecreasing")
     if grid.size and not grid[0] >= jt[0]:
         raise ValueError("grid starts before the path's first time")
-    first = np.searchsorted(grid, jt)  # each state's first grid time
-    return np.repeat(np.asarray(states), np.diff(first, append=grid.size))
+    first = _first_nodes(grid, jt)
+    return np.repeat(states, np.diff(first, append=grid.size))
+
+
+def _first_nodes(grid, x):
+    """np.searchsorted(grid, x), #(grid < x) for each x, by interpolation search.
+
+    grid is nondecreasing and x finite.  The guess for x's first node is 1
+    + the node below x on a straight line through the grid's end points,
+    moved one node down where that node is not below x.  A guess i + 1 is
+    kept where both neighbours verify it, grid[i] < x <= grid[i + 1], which
+    for a nondecreasing grid makes it exact; the rest go to searchsorted:
+    x at or before the first node, past the last, or off the line by more
+    than a node, as on an uneven grid.  A grid of fewer than two nodes, or
+    one whose end points are equal or span more than a float, is searched.
+    """
+    n = grid.size
+    span = float(grid[-1]) - float(grid[0]) if n > 1 else 0.0
+    scale = (n - 1) / span if 0.0 < span < math.inf else math.inf
+    if scale == math.inf:
+        return np.searchsorted(grid, x)
+    with np.errstate(over="ignore"):
+        guess = np.subtract(x, float(grid[0])) * scale  # may overflow to inf, never NaN
+    i = np.clip(guess, 0.0, n - 2, out=guess).astype(np.intp)
+    i -= grid[i] >= x  # -1 where x is at or before the first node, and then fails below
+    ok = (grid[i] < x) & (grid[i + 1] >= x)
+    i += 1
+    if not ok.all():
+        bad = ~ok
+        i[bad] = np.searchsorted(grid, x[bad])
+    return i
 
 
 def _mean_se(vals: np.ndarray):
@@ -423,16 +550,23 @@ def _functional_share(gen: Generator, r: float, g: np.ndarray, i0: int, horizon:
     """discounted_functional_mc's per-path values for paths lo..hi-1, as a 1-tuple.
 
     Path k's value is g(states) @ (disc[:-1] - disc[1:]) / r, with disc
-    e^{-r t} at its jump times and then at the horizon.
+    e^{-r t} at its jump times and then at the horizon.  A block of one
+    path appends the horizon to its times, so its reduction is that dot
+    product alone; a wider block inserts the horizon after each path.
     """
     vals = np.empty(hi - lo)
     for path, t, st in _walks(gen, i0, horizon, ([seed, k] for k in range(lo, hi))):
-        starts = np.flatnonzero(np.r_[True, path[1:] != path[:-1]])
-        ends = np.append(starts[1:], t.size)
-        disc = np.insert(t, ends, horizon)  # each path's times, then the horizon
+        if path[0] == path[-1]:  # one path
+            starts, ends = [0], [t.size]
+            disc = np.append(t, horizon)
+        else:
+            starts = np.flatnonzero(np.r_[True, path[1:] != path[:-1]])
+            ends = np.append(starts[1:], t.size)
+            disc = np.insert(t, ends, horizon)  # each path's times, then the horizon
+            starts, ends = starts.tolist(), ends.tolist()
         np.exp(np.multiply(disc, -r, out=disc), out=disc)
         step = disc[:-1] - disc[1:]
         gs = g[st]
-        for j, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
+        for j, (a, b) in enumerate(zip(starts, ends)):
             vals[path[a]] = gs[a:b] @ step[a + j:b + j] / r
     return (vals,)

@@ -2,12 +2,14 @@
 
 import bisect
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from regimeplan import (
     Generator,
+    SimConfig,
     benchmark_params,
     discounted_functional_mc,
     discounted_resolvent,
@@ -116,7 +118,24 @@ def searched_regimes(jump_times, states, grid):
     return np.asarray(states)[np.searchsorted(jump_times, grid, side="right") - 1]
 
 
-def test_merged_grid_sampling_matches_search():
+def assert_sampled_as_search(jump_times, states, grid):
+    got = regimes_on_grid(jump_times, states, grid)
+    want = searched_regimes(jump_times, states, grid)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def searched_jumps(monkeypatch, jump_times, states, grid):
+    """How many jumps regimes_on_grid hands to np.searchsorted (its fallback)."""
+    sizes = []
+    search = np.searchsorted
+    with monkeypatch.context() as mp:
+        mp.setattr(np, "searchsorted", lambda a, v, *args, **kwargs:
+                   sizes.append(np.size(v)) or search(a, v, *args, **kwargs))
+        regimes_on_grid(jump_times, states, grid)
+    return sum(sizes)
+
+
+def test_merged_grid_sampling_matches_search(monkeypatch):
     gen = ORACLE_CHAINS["eight states"]
     for k in range(6):
         path = simulate_chain(gen, 1 + k, 30.0, seed=[23, k])
@@ -125,20 +144,58 @@ def test_merged_grid_sampling_matches_search():
         grids = [np.arange(3001) * 0.01, np.sort(np.concatenate((jt, jt[::3], [0.0, 29.99]))),
                  np.array([jt[-1], 1e9]), np.zeros(3), np.empty(0)]
         for grid in grids:
-            got = regimes_on_grid(jt, path.states, grid)
-            want = searched_regimes(jt, path.states, grid)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert_sampled_as_search(jt, path.states, grid)
+    # an even grid sends none but the jump on its first node to the fallback
+    grid = np.arange(3001) * 0.01
+    assert searched_jumps(monkeypatch, jt, path.states, grid) <= 1 + path.n_jumps // 100
+    # jump times on the nodes of Euler grids, one ulp either side, and past the last node
+    for dt in (0.01, 0.1, 1 / 3):
+        grid = SimConfig(dt=dt, horizon=30.0, n_paths=1, seed=0, x0=0.0, i0=1).times()
+        nodes = grid[::3]
+        jt = np.unique(np.concatenate((nodes, np.nextafter(nodes, -np.inf),
+                                       np.nextafter(nodes, np.inf), [grid[-1] + dt, 1e300])))
+        assert_sampled_as_search(jt, np.arange(jt.size), grid)
+        # the guess, moved down a node where needed, verifies every jump but the
+        # two at or before the first node and the three past the last
+        assert searched_jumps(monkeypatch, jt, np.arange(jt.size), grid) == 5
+    # uneven grids, where the straight-line guess misses and the fallback searches
+    rng = np.random.default_rng(41)
+    jt = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1e3, 500))))
+    geometric = np.geomspace(1e-6, 1e3, 2001)
+    clustered = np.concatenate((np.linspace(0.0, 1.0, 1000), np.linspace(999.0, 1e3, 1000)))
+    for grid in (geometric, clustered):
+        assert_sampled_as_search(jt, np.arange(jt.size), grid)
+        assert searched_jumps(monkeypatch, jt, np.arange(jt.size), grid) > jt.size // 2
+    # repeated grid times, one-point grids, and end points whose span overflows
+    for grid in (np.repeat(np.arange(0.0, 1e3, 0.5), 3), [0.0], [500.0], [2e3]):
+        assert_sampled_as_search(jt, np.arange(jt.size), grid)
+    wide = np.array([-1.7e308, -1e308, -1.0, 0.0, 5e307, 1e308, 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for grid in (np.linspace(-1.0, 1.0, 11) * 1e308, np.linspace(-1.0, 0.0, 11) * 1e308):
+            assert_sampled_as_search(wide, np.arange(wide.size), grid)
 
 
-def test_regimes_on_grid_refuses_unordered_or_early_grids():
+def test_regimes_on_grid_refuses_unordered_or_early_grids(monkeypatch):
     with pytest.raises(ValueError, match="before"):
         regimes_on_grid([0.0, 1.0], [1, 2], [-0.5])
     with pytest.raises(ValueError, match="nondecreasing"):
         regimes_on_grid([0.0, 1.0], [1, 2], [0.0, 2.0, 0.5])
-    for grid in ([math.nan], [0.0, math.nan, 2.0]):
+    for grid in ([math.nan], [0.0, math.nan, 2.0], [[0.0, 1.0]], 0.5):
         with pytest.raises(ValueError):
             regimes_on_grid([0.0, 1.0], [1, 2], grid)
     assert regimes_on_grid([0.0, 1.0], [1, 2], [0.0, 0.0, 1.0, 1.0]).tolist() == [1, 1, 2, 2]
+    # malformed paths are refused before any search
+    monkeypatch.setattr(chain, "_first_nodes", None)
+    for jt, st, match in (([0.0, math.nan, 2.0], [1, 2, 1], "finite"),
+                          ([math.nan], [1], "finite"),
+                          ([0.0, math.inf], [1, 2], "finite"),
+                          ([0.0, 2.0, 1.0], [1, 2, 1], "decrease"),
+                          ([0.0, 1.0], [1, 2, 1], "as many"),
+                          ([0.0, 1.0, 2.0], [1, 2], "as many"),
+                          ([], [], "nonempty")):
+        with pytest.raises(ValueError, match=match):
+            regimes_on_grid(jt, st, [0.0, 1.0])
 
 
 def test_absorbing_state():
@@ -344,17 +401,6 @@ def test_block_walk_ends_inside_each_chunk(gen):
         assert_walks_equal(got, oracle_walk(gen, 1, horizon, streams))
 
 
-def test_block_walk_width_changes_nothing(monkeypatch):
-    streams = [[7, k] for k in range(40)]
-    for gen in (Generator.two_state_symmetric(2.0), ORACLE_CHAINS["eight states"]):
-        want = oracle_walk(gen, 2, 50.0, streams)
-        for cap in (1, 10 ** 9):  # one path per block, then all paths in one
-            monkeypatch.setattr(chain, "_WALK_JUMPS", cap)
-            blocks = list(chain._walks(gen, 2, 50.0, streams))
-            assert len(blocks) == (40 if cap == 1 else 1)
-            assert_walks_equal(block_walk(gen, 2, 50.0, streams), want)
-
-
 def scalar_pick(cu, tg, u):
     """scalar_walk's next state: the first cumulative entry >= u."""
     j = 0
@@ -370,7 +416,7 @@ def assert_keys_pick_as_scalar_walk(gen):
     u = np.concatenate((bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, 1.0), [0.0]))
     u = u[u < 1.0]
     got = chain._keys(keys, u)
-    assert got == [bisect.bisect_left(bounds.tolist(), x) for x in u.tolist()]
+    assert list(got) == [bisect.bisect_left(bounds.tolist(), x) for x in u.tolist()]
     for cu, tg, row in zip(cums, targets, keys[-1]):
         assert [row[k] for k in got] == [scalar_pick(cu, tg, x) for x in u.tolist()]
 
@@ -405,14 +451,29 @@ def test_pick_keys_cell_layout():
     grid, _, bounds, _, _ = chain._jump_tables(DYADIC)[3]
     assert {0.25, 0.5, 0.75} <= set(bounds.tolist())
     assert all((b * grid).is_integer() for b in (0.25, 0.5, 0.75))
+    # 16-32 cells per entry, up to the cap a chain near the entry budget meets
+    for gen in (ORACLE_CHAINS["eight states"], DENSE):
+        grid, _, bounds, _, _ = chain._jump_tables(gen)[3]
+        assert 16 * bounds.size < grid <= 32 * bounds.size
+    near = Generator(np.random.default_rng(40).uniform(0.5, 2.0, size=(40, 40)))
+    grid, cell, bounds, _, _ = chain._jump_tables(near)[3]  # 40 x 1561 entries
+    assert bounds.size > chain._KEY_CELLS // 16 and grid == cell.size == chain._KEY_CELLS
+
+
+# 60 x 3541 next-state entries would pass _KEY_ENTRIES, so this chain bisects
+BISECTING = Generator(np.random.default_rng(60).uniform(0.5, 2.0, size=(60, 60)))
+
+
+# 361 key grid entries, over the 256 that fit a byte: its keys leave numpy as a list
+DENSE = Generator(np.random.default_rng(20).uniform(0.5, 2.0, size=(20, 20)))
 
 
 def test_chain_over_the_key_budget_bisects():
-    gen = Generator(np.random.default_rng(60).uniform(0.5, 2.0, size=(60, 60)))
-    tables = chain._jump_tables(gen)
-    assert tables[3] is None  # 60 x 3541 entries would pass _KEY_ENTRIES
+    tables = chain._jump_tables(BISECTING)
+    assert tables[3] is None
     streams = [[13, k] for k in range(10)]
-    assert_walks_equal(block_walk(gen, 7, 5.0, streams), oracle_walk(gen, 7, 5.0, streams))
+    assert_walks_equal(block_walk(BISECTING, 7, 5.0, streams),
+                       oracle_walk(BISECTING, 7, 5.0, streams))
 
 
 def ring(m):
@@ -432,6 +493,35 @@ def test_byte_and_list_picks_match_scalar_walk(m):
     streams = [[29, k] for k in range(12)]
     for i0 in (1, m // 2, m):
         assert_walks_equal(block_walk(gen, i0, 40.0, streams), oracle_walk(gen, i0, 40.0, streams))
+
+
+def test_block_walk_width_changes_nothing(monkeypatch):
+    # one path per block takes the one-path walk, one wide block the block walk;
+    # ring(257) picks into a list, DENSE from a list of keys, BISECTING without keys
+    assert isinstance(chain._keys(chain._jump_tables(DENSE)[3], np.zeros(1)), list)
+    streams = [[7, k] for k in range(40)]
+    chains = [(gen, 50.0) for gen in ORACLE_CHAINS.values()] + [
+        (Generator.two_state_symmetric(2.0), 50.0), (CLUSTERED, 50.0), (ring(257), 50.0),
+        (DENSE, 5.0), (BISECTING, 5.0)]
+    for gen, horizon in chains:
+        i0 = min(2, gen.m)
+        want = oracle_walk(gen, i0, horizon, streams)
+        for cap in (1, 10 ** 9):
+            monkeypatch.setattr(chain, "_WALK_JUMPS", cap)
+            blocks = list(chain._walks(gen, i0, horizon, streams))
+            assert len(blocks) == (40 if cap == 1 else 1)
+            assert_walks_equal(block_walk(gen, i0, horizon, streams), want)
+
+
+@pytest.mark.parametrize("name", ["two states", "eight states", "absorbing"])
+def test_functional_share_width_changes_nothing(monkeypatch, name):
+    gen = ORACLE_CHAINS[name]
+    g = np.linspace(-1.0, 2.0, gen.m)
+    got = []
+    for cap in (1, 10 ** 9):  # one path per block, then all paths in one
+        monkeypatch.setattr(chain, "_WALK_JUMPS", cap)
+        got.append(chain._functional_share(gen, 0.1, g, 2, 40.0, 9, 3, 33)[0])
+    assert got[0].dtype == got[1].dtype and np.array_equal(got[0], got[1])
 
 
 def test_mean_rate_rounds_too_short_and_too_long():
